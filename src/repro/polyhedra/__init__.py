@@ -1,8 +1,8 @@
 """Polyhedral abstract domain: linear constraints, LP queries, projection, hulls.
 
 This package implements the machinery behind the paper's ``Abstract`` /
-convex-hull procedure (Alg. 1): linear constraints with exact rational
-coefficients, satisfiability/entailment/optimization via LP, Fourier–Motzkin
+convex-hull procedure (Alg. 1): linear constraints stored as gcd-primitive
+integer rows, satisfiability/entailment/optimization via LP, Fourier–Motzkin
 projection, and the polyhedral join (closed convex hull of unions).
 
 The hot queries — projection, LP satisfiability/entailment, constraint-set

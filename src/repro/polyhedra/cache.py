@@ -197,8 +197,9 @@ def cache_stats() -> dict[str, dict[str, int]]:
 #: Entry name of the memo snapshot inside its storage namespace.
 SNAPSHOT_NAME = "polyhedra-memo"
 
-#: Bump on incompatible changes to the pickled snapshot layout.
-SNAPSHOT_SCHEMA = 1
+#: Bump on incompatible changes to the pickled snapshot layout.  Schema 2:
+#: constraints are gcd-primitive integer rows, so no entry holds a Fraction.
+SNAPSHOT_SCHEMA = 2
 
 #: The closed vocabulary a memo snapshot may contain.  Result-cache
 #: directories are shareable between machines, so a snapshot must be treated
@@ -211,7 +212,6 @@ SNAPSHOT_SCHEMA = 1
 #: per-process rather than growing this vocabulary.
 _ALLOWED_CLASSES = {
     ("builtins", "frozenset"),
-    ("fractions", "Fraction"),
     ("repro.formulas.symbols", "Symbol"),
     ("repro.polyhedra.constraint", "ConstraintKind"),
     ("repro.polyhedra.constraint", "LinearConstraint"),
@@ -369,10 +369,12 @@ def canonical_system(
     symbols' string order and their zero-padded names sort the same way, and
     constraint order is preserved.  An algorithm whose output depends on
     symbol ordering or constraint ordering (Fourier–Motzkin's pivot choice,
-    greedy minimization, ``normalize``'s leading coefficient) therefore
-    computes *exactly* the renaming of what it would compute on the original
-    system — so memoizing on the canonical form cannot change any result,
-    it only lets systems differing in fresh-symbol indices share entries.
+    greedy minimization, the presolve's choice of the first symbol of an
+    equality) therefore computes *exactly* the renaming of what it would
+    compute on the original system — so memoizing on the canonical form
+    cannot change any result, it only lets systems differing in fresh-symbol
+    indices share entries.  The renamed rows keep their integer entries, so
+    the keys hash plain int tuples.
     """
     symbols = sorted(
         {s for c in constraints for s in c.symbols} | set(extra_symbols), key=str

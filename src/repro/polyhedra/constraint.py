@@ -5,11 +5,22 @@ where ``REL`` is ``<=`` or ``==``.  Strict inequalities are soundly weakened to
 non-strict ones when converting from formula atoms (the polyhedral domain of
 the paper is a closed-convex-set domain, so this loses no precision for the
 over-approximation direction the analysis needs).
+
+Every constraint is stored as a **gcd-primitive integer row**: the
+coefficients and the constant are Python ints whose greatest common divisor
+is 1.  :meth:`LinearConstraint.make` clears denominators and divides by the
+row gcd, so every positive rescaling of a constraint yields the same value,
+and the projection, LP and memo layers run on integer arithmetic only.
+Rationals survive at the boundaries: ``make`` accepts ``Fraction`` inputs,
+and :meth:`LinearConstraint.to_polynomial` hands the row to the formula
+layer, whose polynomials keep ``Fraction`` coefficients.  Equalities are not
+sign-canonicalised: ``x - y == 0`` and ``y - x == 0`` stay distinct rows.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -18,9 +29,7 @@ from ..formulas.formula import Atom, AtomKind
 from ..formulas.polynomial import Monomial, Polynomial
 from ..formulas.symbols import Symbol
 
-__all__ = ["ConstraintKind", "LinearConstraint", "constraint_from_atom"]
-
-_ZERO = Fraction(0)
+__all__ = ["ConstraintKind", "LinearConstraint", "combine", "constraint_from_atom"]
 
 
 class ConstraintKind(enum.Enum):
@@ -32,10 +41,10 @@ class ConstraintKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """``sum coeffs[s]*s + constant (<=|==) 0`` with exact rational arithmetic."""
+    """``sum coeffs[s]*s + constant (<=|==) 0`` as a gcd-primitive int row."""
 
-    coeffs: tuple[tuple[Symbol, Fraction], ...]
-    constant: Fraction
+    coeffs: tuple[tuple[Symbol, int], ...]
+    constant: int
     kind: ConstraintKind
 
     # ------------------------------------------------------------------ #
@@ -43,17 +52,35 @@ class LinearConstraint:
     # ------------------------------------------------------------------ #
     @staticmethod
     def make(
-        coeffs: Mapping[Symbol, Fraction | int],
-        constant: Fraction | int = 0,
+        coeffs: Mapping[Symbol, int | Fraction],
+        constant: int | Fraction = 0,
         kind: ConstraintKind = ConstraintKind.LE,
     ) -> "LinearConstraint":
-        cleaned = tuple(
-            sorted(
-                ((s, Fraction(c)) for s, c in coeffs.items() if Fraction(c) != 0),
-                key=lambda kv: str(kv[0]),
-            )
+        """The primitive row of ``sum coeffs[s]*s + constant (kind) 0``.
+
+        Zero coefficients are dropped, denominators are cleared and the row
+        is divided by the gcd of its entries (constant included); the scale
+        factors are positive, so the solution set is unchanged.
+        """
+        all_int = True
+        scale = 1
+        for value in (constant, *coeffs.values()):
+            if type(value) is int:
+                continue
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(
+                    "constraint entries must be int or Fraction, not"
+                    f" {type(value).__name__}"
+                )
+            all_int = False
+            scale = math.lcm(scale, value.denominator)
+        if all_int:
+            return _primitive(coeffs, constant, kind)
+        return _primitive(
+            {s: c.numerator * (scale // c.denominator) for s, c in coeffs.items()},
+            constant.numerator * (scale // constant.denominator),
+            kind,
         )
-        return LinearConstraint(cleaned, Fraction(constant), kind)
 
     @staticmethod
     def le(polynomial: Polynomial) -> "LinearConstraint":
@@ -69,7 +96,7 @@ class LinearConstraint:
     # Accessors
     # ------------------------------------------------------------------ #
     @property
-    def coeff_map(self) -> dict[Symbol, Fraction]:
+    def coeff_map(self) -> dict[Symbol, int]:
         return dict(self.coeffs)
 
     @property
@@ -94,7 +121,7 @@ class LinearConstraint:
             return self.constant > 0
         return self.constant != 0
 
-    def coefficient(self, symbol: Symbol) -> Fraction:
+    def coefficient(self, symbol: Symbol) -> int:
         # Hot query (the projection and simplex layers call it per symbol
         # per constraint); a lazily built lookup table replaces the linear
         # scan.  ``object.__setattr__`` sidesteps the frozen-dataclass guard
@@ -104,51 +131,17 @@ class LinearConstraint:
         except AttributeError:
             table = dict(self.coeffs)
             object.__setattr__(self, "_coefficient_table", table)
-        return table.get(symbol, _ZERO)
+        return table.get(symbol, 0)
 
     # ------------------------------------------------------------------ #
-    # Algebra
+    # Conversion
     # ------------------------------------------------------------------ #
-    def scale(self, factor: Fraction | int) -> "LinearConstraint":
-        """Scale by a factor (must be positive for LE constraints)."""
-        factor = Fraction(factor)
-        if self.kind is ConstraintKind.LE and factor <= 0:
-            raise ValueError("LE constraints may only be scaled by positive factors")
-        return LinearConstraint.make(
-            {s: c * factor for s, c in self.coeffs}, self.constant * factor, self.kind
-        )
-
-    def add(self, other: "LinearConstraint") -> "LinearConstraint":
-        """Sum of two constraints (LE + LE = LE, EQ + EQ = EQ, mixed = LE)."""
-        coeffs = self.coeff_map
-        for s, c in other.coeffs:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + c
-        kind = (
-            ConstraintKind.EQ
-            if self.kind is ConstraintKind.EQ and other.kind is ConstraintKind.EQ
-            else ConstraintKind.LE
-        )
-        return LinearConstraint.make(coeffs, self.constant + other.constant, kind)
-
-    def normalize(self) -> "LinearConstraint":
-        """Divide through by the gcd-like scale so the leading coefficient is 1/-1."""
-        if not self.coeffs:
-            return self
-        lead = abs(self.coeffs[0][1])
-        if lead == 0 or lead == 1:
-            return self
-        if self.kind is ConstraintKind.EQ:
-            return LinearConstraint.make(
-                {s: c / lead for s, c in self.coeffs}, self.constant / lead, self.kind
-            )
-        return self.scale(Fraction(1) / lead)
-
     def to_polynomial(self) -> Polynomial:
         """The linear polynomial ``sum coeffs*sym + constant``."""
-        poly = Polynomial.constant(self.constant)
+        terms: dict[Monomial, int] = {Monomial.unit(): self.constant}
         for s, c in self.coeffs:
-            poly = poly + Polynomial({Monomial.of(s): c})
-        return poly
+            terms[Monomial.of(s)] = c
+        return Polynomial(terms)
 
     def to_atom(self) -> Atom:
         """The corresponding formula atom."""
@@ -156,11 +149,15 @@ class LinearConstraint:
         return Atom(self.to_polynomial(), kind)
 
     def rename(self, mapping: Mapping[Symbol, Symbol]) -> "LinearConstraint":
-        coeffs: dict[Symbol, Fraction] = {}
-        for s, c in self.coeffs:
-            target = mapping.get(s, s)
-            coeffs[target] = coeffs.get(target, Fraction(0)) + c
-        return LinearConstraint.make(coeffs, self.constant, self.kind)
+        """Substitute symbols; only a merge of two symbols rebuilds the row."""
+        renamed = [(mapping.get(s, s), c) for s, c in self.coeffs]
+        if len({s for s, _ in renamed}) < len(renamed):
+            merged: dict[Symbol, int] = {}
+            for s, c in renamed:
+                merged[s] = merged.get(s, 0) + c
+            return _primitive(merged, self.constant, self.kind)
+        renamed.sort(key=_symbol_order)
+        return LinearConstraint(tuple(renamed), self.constant, self.kind)
 
     def evaluate(self, assignment: Mapping[Symbol, Fraction | int]) -> bool:
         value = self.constant
@@ -173,6 +170,44 @@ class LinearConstraint:
     def __str__(self) -> str:
         lhs = " + ".join(f"{c}*{s}" for s, c in self.coeffs) or "0"
         return f"{lhs} + {self.constant} {self.kind.value} 0"
+
+
+def combine(
+    first: LinearConstraint,
+    first_factor: int,
+    second: LinearConstraint,
+    second_factor: int,
+    kind: ConstraintKind,
+) -> LinearConstraint:
+    """The primitive row of ``first_factor * first + second_factor * second``.
+
+    This integer multiply-add is the elimination step of Fourier–Motzkin and
+    of equality substitution: callers pick the factors so that one symbol
+    cancels (its zero coefficient is dropped), and give every inequality a
+    positive factor so it keeps its direction.
+    """
+    coeffs = {s: first_factor * c for s, c in first.coeffs}
+    for s, c in second.coeffs:
+        coeffs[s] = coeffs.get(s, 0) + second_factor * c
+    constant = first_factor * first.constant + second_factor * second.constant
+    return _primitive(coeffs, constant, kind)
+
+
+def _symbol_order(entry: tuple[Symbol, int]) -> str:
+    return str(entry[0])
+
+
+def _primitive(
+    coeffs: Mapping[Symbol, int], constant: int, kind: ConstraintKind
+) -> LinearConstraint:
+    """The gcd-primitive, symbol-sorted row of an all-int constraint."""
+    entries = [(s, c) for s, c in coeffs.items() if c]
+    divisor = math.gcd(constant, *(c for _, c in entries))
+    if divisor > 1:
+        entries = [(s, c // divisor) for s, c in entries]
+        constant //= divisor
+    entries.sort(key=_symbol_order)
+    return LinearConstraint(tuple(entries), constant, kind)
 
 
 def _from_linear_polynomial(

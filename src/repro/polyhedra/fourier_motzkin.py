@@ -11,6 +11,11 @@ one symbol at a time:
 * otherwise classic Fourier–Motzkin combination of the positive and negative
   occurrences is used.
 
+Constraints are gcd-primitive integer rows, so both steps are integer
+multiply-adds (:func:`~repro.polyhedra.constraint.combine`) with a positive
+factor on every inequality, and the row gcd taken when a row is built is the
+only normalisation.
+
 Derived constraints carry their **history**: the set of input constraints
 they descend from, together with the set of symbols eliminated along their
 derivation.  Imbert's first acceleration theorem states that a derived
@@ -29,12 +34,12 @@ blow-up bounded.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Iterable, Sequence
 
 from ..formulas.symbols import Symbol
 from . import cache as memo
-from .constraint import ConstraintKind, LinearConstraint
+from .constraint import ConstraintKind, LinearConstraint, combine
 from . import lp
 
 __all__ = ["eliminate", "minimize_constraints", "MINIMIZE_THRESHOLD"]
@@ -73,9 +78,6 @@ class _Tracked:
         self.history = history
         self.eliminated = eliminated
 
-    def replaced(self, constraint: LinearConstraint) -> "_Tracked":
-        return _Tracked(constraint, self.history, self.eliminated)
-
 
 def _imbert_redundant(history: int, eliminated: int) -> bool:
     return history.bit_count() > 1 + eliminated.bit_count()
@@ -97,9 +99,10 @@ def eliminate(
     system, so both the cached and the uncached path run the elimination on
     the canonical form: hits and misses return identical constraint lists.
     """
-    current = _clean([c for c in constraints])
-    if current is None:
+    cleaned = _clean([_Tracked(c, 0, 0) for c in constraints])
+    if cleaned is None:
         return [_contradiction()]
+    current = [t.constraint for t in cleaned]
     targets = [
         s
         for s in dict.fromkeys(symbols)
@@ -131,7 +134,7 @@ def _eliminate_core(
         if not any(t.constraint.coefficient(symbol) != 0 for t in tracked):
             continue
         tracked = _eliminate_one(tracked, symbol, symbol_bits[symbol])
-        tracked = _clean_tracked(tracked)
+        tracked = _clean(tracked)
         if tracked is None:
             return [_contradiction()]
         if len(tracked) > minimize_threshold:
@@ -140,7 +143,7 @@ def _eliminate_core(
 
 
 def _contradiction() -> LinearConstraint:
-    return LinearConstraint.make({}, Fraction(1), ConstraintKind.LE)
+    return LinearConstraint.make({}, 1, ConstraintKind.LE)
 
 
 def _pick_symbol(
@@ -208,6 +211,9 @@ def _substitute_equality(
     """
     eq_constraint = equality.constraint
     coeff = eq_constraint.coefficient(symbol)
+    # |coeff| * row - sign(coeff) * c * equality cancels the symbol, and the
+    # row's factor is positive, so an inequality keeps its direction.
+    sign = 1 if coeff > 0 else -1
     result: list[_Tracked] = []
     for t in tracked:
         if t is equality:
@@ -223,19 +229,10 @@ def _substitute_equality(
             history, eliminated
         ):
             continue
-        # constraint - (c / coeff) * equality removes the symbol.
-        factor = c / coeff
-        coeffs = constraint.coeff_map
-        for s, e in eq_constraint.coeffs:
-            coeffs[s] = coeffs.get(s, Fraction(0)) - factor * e
-        constant = constraint.constant - factor * eq_constraint.constant
-        result.append(
-            _Tracked(
-                LinearConstraint.make(coeffs, constant, constraint.kind),
-                history,
-                eliminated,
-            )
+        combined = combine(
+            constraint, abs(coeff), eq_constraint, -sign * c, constraint.kind
         )
+        result.append(_Tracked(combined, history, eliminated))
     return result
 
 
@@ -267,89 +264,63 @@ def _fourier_motzkin_step(
                 # Imbert's acceleration theorem: this combination is implied
                 # by the surviving rows — skip it before it is even built.
                 continue
+            # |cn| * pos + cp * neg: both factors are positive and the
+            # symbol cancels.
             cn = neg.constraint.coefficient(symbol)
-            combined = pos.constraint.scale(-cn).add(neg.constraint.scale(cp))
-            # The symbol cancels by construction; guard against Fraction noise.
-            coeffs = {s: c for s, c in combined.coeffs if s != symbol}
-            result.append(
-                _Tracked(
-                    LinearConstraint.make(
-                        coeffs, combined.constant, ConstraintKind.LE
-                    ),
-                    history,
-                    eliminated,
-                )
+            combined = combine(
+                pos.constraint, -cn, neg.constraint, cp, ConstraintKind.LE
             )
+            result.append(_Tracked(combined, history, eliminated))
     return result
 
 
-def _clean(
-    constraints: Sequence[LinearConstraint],
-) -> list[LinearConstraint] | None:
-    """Drop trivial/duplicate/dominated constraints; None on contradiction.
+def _clean(tracked: Sequence[_Tracked]) -> list[_Tracked] | None:
+    """Drop trivial/duplicate/dominated rows; None on contradiction.
 
-    Besides syntactic subsumption (same left-hand side, keep the tighter
-    constant) this propagates single-symbol bounds: a crossed lower/upper
-    pair proves the whole system empty before any LP or combination step
-    runs on it.
+    Two rows are duplicates when their left-hand sides agree up to a
+    positive factor.  The row gcd includes the constant, so duplicates can
+    differ in their stored coefficients (``2x + 3 <= 0`` and ``x + 1 <= 0``):
+    rows are keyed on the coefficient-primitive left-hand side, and their
+    constants are compared over it by cross-multiplication.  Of two
+    duplicate inequalities the tighter one is kept; two duplicate equalities
+    with different constants prove the system empty.  When one row arises
+    from several derivations the smallest history is kept — every
+    derivation is a genuine one, and a smaller history keeps the row safe
+    from Imbert pruning longer (plain systems pass empty histories).
+
+    Besides this syntactic subsumption, single-symbol bounds are
+    propagated: a crossed lower/upper pair proves the whole system empty
+    before any LP or combination step runs on it.
     """
-    seen: dict[tuple, LinearConstraint] = {}
-    for constraint in constraints:
-        if constraint.is_contradiction:
-            return None
-        if constraint.is_trivial:
-            continue
-        normalized = constraint.normalize()
-        key = (normalized.coeffs, normalized.kind)
-        existing = seen.get(key)
-        if existing is None:
-            seen[key] = normalized
-        elif normalized.kind is ConstraintKind.LE:
-            # Same left-hand side: keep the tighter constant.
-            if normalized.constant > existing.constant:
-                seen[key] = normalized
-        else:
-            if normalized.constant != existing.constant:
-                return None
-    result = list(seen.values())
-    if lp.interval_contradiction(result):
-        return None
-    return result
-
-
-def _clean_tracked(tracked: Sequence[_Tracked]) -> list[_Tracked] | None:
-    """History-carrying variant of :func:`_clean` (same kept constraints).
-
-    When one normalized constraint arises from several derivations the
-    smallest history is kept — every derivation is a genuine one, and a
-    smaller history keeps the row safe from Imbert pruning longer.
-    """
-    seen: dict[tuple, _Tracked] = {}
+    # key -> (row, gcd of the row's coefficients)
+    seen: dict[tuple, tuple[_Tracked, int]] = {}
     for t in tracked:
         constraint = t.constraint
         if constraint.is_contradiction:
             return None
         if constraint.is_trivial:
             continue
-        normalized = constraint.normalize()
-        key = (normalized.coeffs, normalized.kind)
+        coeffs = constraint.coeffs
+        divisor = math.gcd(*(c for _, c in coeffs))
+        if divisor > 1:
+            coeffs = tuple((s, c // divisor) for s, c in coeffs)
+        key = (coeffs, constraint.kind)
         existing = seen.get(key)
         if existing is None:
-            seen[key] = t.replaced(normalized)
-        elif normalized.kind is ConstraintKind.LE:
-            if normalized.constant > existing.constraint.constant:
-                seen[key] = t.replaced(normalized)
-            elif (
-                normalized.constant == existing.constraint.constant
-                and t.history.bit_count() < existing.history.bit_count()
-            ):
-                seen[key] = t.replaced(normalized)
-        else:
-            if normalized.constant != existing.constraint.constant:
-                return None
-            if t.history.bit_count() < existing.history.bit_count():
-                seen[key] = t.replaced(normalized)
-    result = list(seen.values())
+            seen[key] = (t, divisor)
+            continue
+        kept, kept_divisor = existing
+        # Sign of constant/divisor - kept.constant/kept_divisor.
+        difference = (
+            constraint.constant * kept_divisor - kept.constraint.constant * divisor
+        )
+        if constraint.kind is ConstraintKind.EQ and difference != 0:
+            return None
+        if difference > 0 or (
+            difference == 0 and t.history.bit_count() < kept.history.bit_count()
+        ):
+            seen[key] = (t, divisor)
+    result = [t for t, _ in seen.values()]
     if lp.interval_contradiction([t.constraint for t in result]):
         return None
     return result
@@ -381,9 +352,10 @@ def minimize_constraints(
     are additionally memoized in the LP layer, so re-minimizing a system
     that grew by a few constraints only pays for the new queries.
     """
-    cleaned = _clean(constraints)
-    if cleaned is None:
+    tracked = _clean([_Tracked(c, 0, 0) for c in constraints])
+    if tracked is None:
         return [_contradiction()]
+    cleaned = [t.constraint for t in tracked]
     if len(cleaned) <= 1:
         return cleaned
     canonical, _, _, inverse = memo.canonical_system(cleaned)

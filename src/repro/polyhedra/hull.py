@@ -18,7 +18,6 @@ implementations of the join are provided:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from ..formulas.symbols import Symbol, fresh
@@ -45,26 +44,19 @@ def weak_join(first: Polyhedron, second: Polyhedron) -> Polyhedron:
     if second.is_empty():
         return first
 
-    def entailed_by(polyhedron: Polyhedron, syntactic: frozenset):
+    def entailed_by(polyhedron: Polyhedron):
+        # Syntactic subsumption first: a constraint the other argument
+        # states verbatim (up to a positive factor, which the primitive row
+        # form makes literal equality) needs no LP call.
+        syntactic = frozenset(polyhedron.constraints)
+
         def check(constraint: LinearConstraint) -> bool:
-            # Syntactic subsumption first: a constraint the other argument
-            # states verbatim (up to normalization) needs no LP call.
-            normalized = constraint.normalize()
-            if (normalized.coeffs, normalized.constant, normalized.kind) in syntactic:
-                return True
-            return polyhedron.entails(constraint)
+            return constraint in syntactic or polyhedron.entails(constraint)
 
         return check
 
-    def syntactic_forms(polyhedron: Polyhedron) -> frozenset:
-        forms = set()
-        for constraint in polyhedron.constraints:
-            normalized = constraint.normalize()
-            forms.add((normalized.coeffs, normalized.constant, normalized.kind))
-        return frozenset(forms)
-
-    in_second = entailed_by(second, syntactic_forms(second))
-    in_first = entailed_by(first, syntactic_forms(first))
+    in_second = entailed_by(second)
+    in_first = entailed_by(first)
     kept: list[LinearConstraint] = []
     for constraint in first.constraints:
         if constraint.kind is ConstraintKind.EQ:
@@ -118,25 +110,23 @@ def convex_hull_pair(first: Polyhedron, second: Polyhedron) -> Polyhedron:
     lifted: list[LinearConstraint] = []
     # Homogenized copy of `first` over (shadow, sigma):  A*y + b*sigma <= 0.
     for constraint in first.constraints:
-        coeffs: dict[Symbol, Fraction] = {}
-        for s, c in constraint.coeffs:
-            coeffs[shadow[s]] = coeffs.get(shadow[s], Fraction(0)) + c
-        coeffs[sigma] = coeffs.get(sigma, Fraction(0)) + constraint.constant
-        lifted.append(LinearConstraint.make(coeffs, Fraction(0), constraint.kind))
+        coeffs: dict[Symbol, int] = {shadow[s]: c for s, c in constraint.coeffs}
+        coeffs[sigma] = constraint.constant
+        lifted.append(LinearConstraint.make(coeffs, 0, constraint.kind))
     # Homogenized copy of `second` over (x - y, 1 - sigma):
     #   A*(x - y) + b*(1 - sigma) <= 0.
     for constraint in second.constraints:
         coeffs = {}
         for s, c in constraint.coeffs:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + c
-            coeffs[shadow[s]] = coeffs.get(shadow[s], Fraction(0)) - c
-        coeffs[sigma] = coeffs.get(sigma, Fraction(0)) - constraint.constant
+            coeffs[s] = c
+            coeffs[shadow[s]] = -c
+        coeffs[sigma] = -constraint.constant
         lifted.append(
             LinearConstraint.make(coeffs, constraint.constant, constraint.kind)
         )
     # 0 <= sigma <= 1.
-    lifted.append(LinearConstraint.make({sigma: Fraction(-1)}, Fraction(0)))
-    lifted.append(LinearConstraint.make({sigma: Fraction(1)}, Fraction(-1)))
+    lifted.append(LinearConstraint.make({sigma: -1}, 0))
+    lifted.append(LinearConstraint.make({sigma: 1}, -1))
 
     eliminated = fourier_motzkin.eliminate(
         lifted, [sigma, *shadow.values()]

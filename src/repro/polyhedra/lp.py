@@ -89,12 +89,12 @@ def _build_matrices(
     b_eq: list[float] = []
     for constraint in constraints:
         row = [0.0] * len(symbols)
-        scale = max(
-            (abs(c) for _, c in constraint.coeffs), default=Fraction(1)
-        ) or Fraction(1)
+        # int / int true division is correctly rounded: HiGHS gets the
+        # nearest floats to the exact ratios.
+        scale = max((abs(c) for _, c in constraint.coeffs), default=1)
         for s, c in constraint.coeffs:
-            row[index[s]] = float(c / scale)
-        rhs = float(-constraint.constant / scale)
+            row[index[s]] = c / scale
+        rhs = -constraint.constant / scale
         if constraint.kind is ConstraintKind.LE:
             a_ub.append(row)
             b_ub.append(rhs)
@@ -185,27 +185,38 @@ def interval_contradiction(constraints: Sequence[LinearConstraint]) -> bool:
     bounds proves the system empty with no LP call.  ``False`` means
     "unknown", never "non-empty".
     """
-    lower: dict[Symbol, Fraction] = {}
-    upper: dict[Symbol, Fraction] = {}
+    # Bounds are kept as (numerator, positive denominator) pairs and
+    # compared by cross-multiplication.
+    lower: dict[Symbol, tuple[int, int]] = {}
+    upper: dict[Symbol, tuple[int, int]] = {}
     for constraint in constraints:
         if len(constraint.coeffs) != 1:
             continue
         symbol, coeff = constraint.coeffs[0]
-        bound = -constraint.constant / coeff
+        # coeff * symbol + constant (<=|==) 0 bounds symbol by -constant/coeff.
+        if coeff > 0:
+            bound = (-constraint.constant, coeff)
+        else:
+            bound = (constraint.constant, -coeff)
         if constraint.kind is ConstraintKind.EQ:
             is_upper = is_lower = True
         else:
             is_upper = coeff > 0
             is_lower = not is_upper
-        if is_upper and (symbol not in upper or bound < upper[symbol]):
+        if is_upper and (symbol not in upper or _less(bound, upper[symbol])):
             upper[symbol] = bound
-        if is_lower and (symbol not in lower or bound > lower[symbol]):
+        if is_lower and (symbol not in lower or _less(lower[symbol], bound)):
             lower[symbol] = bound
     for symbol, low in lower.items():
         high = upper.get(symbol)
-        if high is not None and low > high:
+        if high is not None and _less(high, low):
             return True
     return False
+
+
+def _less(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    """``first < second`` for (numerator, positive denominator) pairs."""
+    return first[0] * second[1] < second[0] * first[1]
 
 
 def entails(
@@ -241,9 +252,9 @@ def _entails_uncached(
     if len(constraints) <= EXACT_FIRST_LIMIT:
         return exact_entails(list(constraints), candidate)
     objective = candidate.coeff_map
-    scale = max((abs(c) for c in objective.values()), default=Fraction(1)) or Fraction(1)
+    scale = max((abs(c) for c in objective.values()), default=1)
     scaled_objective = {s: c / scale for s, c in objective.items()}
-    bound = float(-candidate.constant / scale)
+    bound = -candidate.constant / scale
     result = maximize(scaled_objective, constraints)
     if result.is_optimal and result.value is not None:
         tolerance = TOLERANCE * max(1.0, abs(bound))

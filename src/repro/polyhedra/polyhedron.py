@@ -43,7 +43,7 @@ class Polyhedron:
     def empty() -> "Polyhedron":
         """A canonical empty polyhedron (bottom)."""
         return Polyhedron(
-            (LinearConstraint.make({}, Fraction(1), ConstraintKind.LE),)
+            (LinearConstraint.make({}, 1, ConstraintKind.LE),)
         )
 
     @staticmethod

@@ -13,13 +13,16 @@ into differences of non-negative variables, inequalities receive slack
 variables, and a standard two-phase simplex with Bland's anti-cycling rule is
 run on the resulting standard-form problem.
 
-Arithmetic is **fraction-free**: every constraint is scaled to integers by
-the common denominator on entry, and the tableau stores one integer row plus
-a single positive integer denominator per row (the rational entry is
-``rows[i][j] / den[i]``).  A pivot is then pure integer multiply-and-subtract
-in the style of Bareiss — the systematic factor is divided out once per row
-via a single gcd pass — instead of a `fractions.Fraction` normalisation (two
-gcds and an object allocation) per tableau cell.  Optimal values, feasibility
+Arithmetic is **fraction-free**: constraints are gcd-primitive integer rows
+(see :mod:`repro.polyhedra.constraint`), so the equality presolve is integer
+cross-multiplication and the rows enter the tableau as they are; only the
+rational objective is scaled by its common denominator.  The tableau stores
+one integer row plus a single positive integer denominator per row (the
+rational entry is ``rows[i][j] / den[i]``).  A pivot is then pure integer
+multiply-and-subtract in the style of Bareiss — the systematic factor is
+divided out once per row via a single gcd pass — instead of a
+`fractions.Fraction` normalisation (two gcds and an object allocation) per
+tableau cell.  Optimal values, feasibility
 and boundedness are properties of the LP itself, not of the tableau
 representation, so the results are bit-identical to the previous
 ``Fraction``-based tableau; the Hypothesis differential suite in
@@ -35,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..formulas.symbols import Symbol
-from .constraint import ConstraintKind, LinearConstraint
+from .constraint import ConstraintKind, LinearConstraint, combine
 
 try:  # numpy backs the fixed-width kernel; without it every LP runs bignum.
     import numpy as _np
@@ -463,10 +466,9 @@ def _standard_form(
 ) -> tuple[list[list[int]], list[int], list[int], int, int]:
     """Convert to integer standard form ``A x = b, x >= 0`` with split free vars.
 
-    Every constraint is scaled by the least common multiple of its
-    coefficients' denominators (a positive factor, so the feasible set is
-    unchanged), which makes the whole tableau integral on entry.  The
-    objective is scaled the same way by its own common denominator.
+    Constraint rows are already integers and enter the tableau as they are;
+    the rational objective is scaled by the least common multiple of its
+    denominators.
 
     Returns (rows, rhs, objective_numerators, objective_denominator,
     n_structural_columns).
@@ -482,21 +484,16 @@ def _standard_form(
     rhs: list[int] = []
     slack_cursor = 0
     for constraint in constraints:
-        scale = math.lcm(
-            constraint.constant.denominator,
-            *(c.denominator for _, c in constraint.coeffs),
-        )
         row = [0] * ncols
         for s, c in constraint.coeffs:
-            v = int(c * scale)
             j = index[s]
-            row[2 * j] = v
-            row[2 * j + 1] = -v
+            row[2 * j] = c
+            row[2 * j + 1] = -c
         if constraint.kind is ConstraintKind.LE:
             row[2 * n_free + slack_cursor] = 1
             slack_cursor += 1
         rows.append(row)
-        rhs.append(int(-constraint.constant * scale))
+        rhs.append(-constraint.constant)
     obj_scale = math.lcm(1, *(c.denominator for c in objective.values()))
     obj = [0] * ncols
     for s, c in objective.items():
@@ -538,29 +535,26 @@ def _presolve(
             inequalities.append(constraint)
             continue
         symbol, coeff = constraint.coeffs[0]
-        factor_map = {s: c / coeff for s, c in constraint.coeffs}
-        constant = constraint.constant / coeff
+        # |coeff| * target - sign(coeff) * c * equality cancels the symbol,
+        # and the target's factor is positive, so inequalities keep their
+        # direction.
+        sign = 1 if coeff > 0 else -1
 
         def substitute(target: LinearConstraint) -> LinearConstraint:
             c = target.coefficient(symbol)
             if c == 0:
                 return target
-            coeffs = target.coeff_map
-            for s, e in factor_map.items():
-                coeffs[s] = coeffs.get(s, Fraction(0)) - c * e
-            return LinearConstraint.make(
-                coeffs, target.constant - c * constant, target.kind
-            )
+            return combine(target, abs(coeff), constraint, -sign * c, target.kind)
 
         pending = [substitute(c) for c in pending]
         inequalities = [substitute(c) for c in inequalities]
         weight = obj.pop(symbol, Fraction(0))
         if weight != 0:
             # s = -(rest + constant)/coeff; fold it into the objective.
-            for s, e in factor_map.items():
+            for s, e in constraint.coeffs:
                 if s is not symbol:
-                    obj[s] = obj.get(s, Fraction(0)) - weight * e
-            offset -= weight * constant
+                    obj[s] = obj.get(s, Fraction(0)) - weight * Fraction(e, coeff)
+            offset -= weight * Fraction(constraint.constant, coeff)
             obj = {s: c for s, c in obj.items() if c != 0}
     survivors = []
     for constraint in inequalities:

@@ -39,6 +39,12 @@ class TestRepositoryIsClean:
     def test_unpickler_allowlists(self, checker):
         assert checker.check_unpickler_allowlists() == []
 
+    def test_declared_dependencies(self, checker):
+        assert checker.check_declared_dependencies() == []
+
+    def test_fraction_free_modules(self, checker):
+        assert checker.check_fraction_free_modules() == []
+
 
 class TestKnobIsolation:
     def test_key_function_referencing_a_knob_is_flagged(self, checker, seeded_tree):
@@ -108,3 +114,73 @@ class TestUnpicklerAllowlists:
             "    return restricted_loads(data, ALLOWED)\n"
         )
         assert checker.check_unpickler_allowlists(seeded_tree) == []
+
+
+class TestDeclaredDependencies:
+    @pytest.fixture()
+    def pyproject(self, seeded_tree):
+        path = seeded_tree.parents[1] / "pyproject.toml"
+        path.write_text(
+            '[project]\nname = "demo"\ndependencies = [\n'
+            '    "sympy>=1.11",\n    # the LP screen\n    "Scikit-Learn>=1",\n]\n\n'
+            '[project.optional-dependencies]\ntest = ["pytest>=8"]\n'
+        )
+        return path
+
+    def test_undeclared_third_party_import_is_flagged(
+        self, checker, seeded_tree, pyproject
+    ):
+        (seeded_tree / "lp.py").write_text(
+            "import math\nimport numpy as np\nfrom sympy import Rational\n"
+        )
+        problems = checker.check_declared_dependencies(seeded_tree)
+        assert len(problems) == 1
+        assert "lp.py:2" in problems[0] and "`numpy`" in problems[0]
+
+    def test_optional_dependency_does_not_count(self, checker, seeded_tree, pyproject):
+        (seeded_tree / "t.py").write_text("def f():\n    import pytest\n")
+        problems = checker.check_declared_dependencies(seeded_tree)
+        assert len(problems) == 1
+        assert "`pytest`" in problems[0]
+
+    def test_stdlib_package_and_declared_imports_are_clean(
+        self, checker, seeded_tree, pyproject
+    ):
+        (seeded_tree / "ok.py").write_text(
+            "from __future__ import annotations\n"
+            "import concurrent.futures\nfrom fractions import Fraction\n"
+            "from . import sibling\nfrom repro.formulas import sym\n"
+            "import sympy\nfrom scikit_learn import thing\n"
+        )
+        assert checker.check_declared_dependencies(seeded_tree) == []
+
+    def test_unreadable_dependency_list_is_flagged(self, checker, seeded_tree):
+        (seeded_tree.parents[1] / "pyproject.toml").write_text(
+            '[project]\nname = "demo"\ndependencies = deps()\n'
+        )
+        problems = checker.check_declared_dependencies(seeded_tree)
+        assert len(problems) == 1
+        assert "dependencies" in problems[0]
+
+
+class TestFractionFreeModules:
+    def test_fractions_import_in_projection_layer_is_flagged(
+        self, checker, seeded_tree
+    ):
+        polyhedra = seeded_tree / "polyhedra"
+        polyhedra.mkdir()
+        (polyhedra / "fourier_motzkin.py").write_text(
+            "import math\nfrom fractions import Fraction\n"
+        )
+        (polyhedra / "hull.py").write_text("import fractions\n")
+        problems = checker.check_fraction_free_modules(seeded_tree)
+        assert len(problems) == 2
+        assert any("fourier_motzkin.py:2" in p for p in problems)
+        assert any("hull.py:1" in p for p in problems)
+
+    def test_boundary_modules_may_use_fractions(self, checker, seeded_tree):
+        polyhedra = seeded_tree / "polyhedra"
+        polyhedra.mkdir()
+        (polyhedra / "constraint.py").write_text("from fractions import Fraction\n")
+        (polyhedra / "cache.py").write_text("import math\n")
+        assert checker.check_fraction_free_modules(seeded_tree) == []

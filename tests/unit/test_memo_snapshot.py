@@ -126,6 +126,28 @@ class TestSnapshotRoundTrip:
         memo.clear_caches(force=True)
         assert memo.load_snapshot(storage, fingerprint="fp") == saved
 
+    def test_schema_1_and_fraction_blobs_are_cold_starts(self):
+        """Schema 1 stored Fraction-valued rows; neither that schema nor a
+        blob naming ``fractions.Fraction`` may warm the integer-row tables."""
+        import pickle
+
+        eliminate(_chain_system(), [Y])
+        table = memo.register_cache("fm.eliminate")
+        entries = table.export_entries()
+        memo.clear_caches(force=True)
+        old_schema = {"schema": 1, "fingerprint": "fp", "tables": {"fm.eliminate": entries}}
+        with_fraction = {
+            "schema": memo.SNAPSHOT_SCHEMA,
+            "fingerprint": "fp",
+            "tables": {"fm.eliminate": [(("k",), Fraction(1, 2))]},
+        }
+        for payload in (old_schema, with_fraction):
+            storage = MemoryStorage()
+            storage.write(memo.SNAPSHOT_NAME, pickle.dumps(payload))
+            assert memo.load_snapshot(storage, fingerprint="fp") == 0
+            assert memo.snapshot_stats(storage, fingerprint="fp")["entries"] == 0
+        assert len(table) == 0
+
 
 class TestAbsorb:
     def test_local_entries_win_and_capacity_holds(self):

@@ -1,5 +1,6 @@
 """Unit tests for the polyhedral domain: constraints, LP, projection, hulls."""
 
+from fractions import Fraction
 
 import pytest
 
@@ -48,15 +49,14 @@ class TestLinearConstraint:
         assert LinearConstraint.make({}, 1).is_contradiction
         assert LinearConstraint.make({}, 0, ConstraintKind.EQ).is_trivial
 
-    def test_scale_negative_le_rejected(self):
-        with pytest.raises(ValueError):
-            le(PX).scale(-1)
-
-    def test_add(self):
-        c = le(PX - 1).add(le(PY - 2))
-        assert c.coefficient(X) == 1
-        assert c.coefficient(Y) == 1
-        assert c.constant == -3
+    def test_make_divides_out_positive_factors(self):
+        c = LinearConstraint.make({X: Fraction(4, 3), Y: -2}, Fraction(2, 3))
+        assert c == LinearConstraint.make({X: 2, Y: -3}, 1)
+        assert c.coeffs == ((X, 2), (Y, -3)) and c.constant == 1
+        # The constant shares the gcd: 2x + 2 <= 0 is stored as x + 1 <= 0.
+        assert LinearConstraint.make({X: 2}, 2) == LinearConstraint.make({X: 1}, 1)
+        # A negative factor flips an inequality, so it is a different row.
+        assert LinearConstraint.make({X: -2}, -2) != LinearConstraint.make({X: 1}, 1)
 
     def test_round_trip_atom(self):
         c = le(2 * PX - PY + 1)
@@ -71,7 +71,7 @@ class TestLinearConstraint:
     def test_rename_merges(self):
         c = le(PX + PY)
         renamed = c.rename({Y: X})
-        assert renamed.coefficient(X) == 2
+        assert renamed == le(2 * PX)
 
 
 class TestLp:

@@ -10,12 +10,16 @@ no solver in the oracle):
   Fourier–Motzkin projection;
 * hull containment — the polyhedral join contains each of its arguments;
 * minimization — ``minimize_constraints`` preserves the solution set exactly;
-* memo determinism — cached and uncached projections are identical.
+* memo determinism — cached and uncached projections are identical;
+* representation — every constraint the layer returns is a gcd-primitive
+  integer row, and positive rescaling of the input changes nothing.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.formulas import sym
@@ -39,15 +43,15 @@ GRID = [
 
 
 @st.composite
-def constraints(draw):
+def constraints(draw, coefficients=st.integers(-3, 3), constants=st.integers(-4, 4)):
     coeffs = {
-        symbol: Fraction(draw(st.integers(-3, 3)))
+        symbol: Fraction(draw(coefficients))
         for symbol in draw(
             st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3, unique=True)
         )
     }
     kind = draw(st.sampled_from([ConstraintKind.LE, ConstraintKind.LE, ConstraintKind.EQ]))
-    return LinearConstraint.make(coeffs, Fraction(draw(st.integers(-4, 4))), kind)
+    return LinearConstraint.make(coeffs, Fraction(draw(constants)), kind)
 
 
 @st.composite
@@ -134,3 +138,96 @@ class TestProjectionMemoDeterminism:
         ]
         for point in GRID:
             assert satisfies(direct, point) == satisfies(via_renaming, point)
+
+
+#: Small rationals, so rows reach ``make`` with real denominators.
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+positive_factors = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+
+
+def rational_constraints():
+    return constraints(coefficients=rationals, constants=rationals)
+
+
+def assert_primitive(constraint):
+    values = [c for _, c in constraint.coeffs] + [constraint.constant]
+    assert all(type(v) is int for v in values), constraint
+    assert all(c != 0 for _, c in constraint.coeffs), constraint
+    assert math.gcd(*values) == 1 or not any(values), constraint
+    names = [str(s) for s, _ in constraint.coeffs]
+    assert names == sorted(names), constraint
+
+
+def rescaled(constraint, factor):
+    """``constraint`` with every entry multiplied by ``factor`` (rebuilt)."""
+    return LinearConstraint.make(
+        {s: c * factor for s, c in constraint.coeffs},
+        constraint.constant * factor,
+        constraint.kind,
+    )
+
+
+class TestPrimitiveRepresentation:
+    @pytest.mark.parametrize("bad", [{"coeff": 0.5}, {"constant": 1.0}])
+    def test_make_rejects_floats(self, bad):
+        coeffs = {SYMBOLS[0]: bad.get("coeff", 1)}
+        with pytest.raises(TypeError):
+            LinearConstraint.make(coeffs, bad.get("constant", 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_constraints(), positive_factors)
+    def test_make_is_invariant_under_positive_rescaling(self, constraint, factor):
+        assert_primitive(constraint)
+        assert rescaled(constraint, factor) == constraint
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(rational_constraints(), min_size=1, max_size=5),
+        st.dictionaries(st.sampled_from(SYMBOLS), st.sampled_from(SYMBOLS)),
+    )
+    def test_rename_returns_primitive_rows(self, system, mapping):
+        for constraint in system:
+            renamed = constraint.rename(mapping)
+            assert_primitive(renamed)
+            expected = {}
+            for s, c in constraint.coeffs:
+                target = mapping.get(s, s)
+                expected[target] = expected.get(target, 0) + c
+            assert renamed == LinearConstraint.make(
+                expected, constraint.constant, constraint.kind
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(rational_constraints(), min_size=1, max_size=5),
+        st.lists(rational_constraints(), min_size=1, max_size=5),
+        st.sampled_from(SYMBOLS),
+    )
+    def test_projection_minimization_and_hull_return_primitive_rows(
+        self, first, second, eliminated
+    ):
+        clear_caches()
+        outputs = [
+            *eliminate(first, [eliminated]),
+            *minimize_constraints(first),
+            *convex_hull_pair(Polyhedron(first), Polyhedron(second)).constraints,
+        ]
+        for constraint in outputs:
+            assert_primitive(constraint)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(rational_constraints(), positive_factors), min_size=1, max_size=5
+        ),
+        st.sampled_from(SYMBOLS),
+    )
+    def test_row_rescaling_changes_no_result(self, rows, eliminated):
+        system = [constraint for constraint, _ in rows]
+        scaled = [rescaled(constraint, factor) for constraint, factor in rows]
+        clear_caches()
+        projected = eliminate(system, [eliminated])
+        minimized = minimize_constraints(system)
+        clear_caches()
+        assert eliminate(scaled, [eliminated]) == projected
+        assert minimize_constraints(scaled) == minimized

@@ -388,14 +388,12 @@ class TestInt64KernelMatchesBignum:
 class TestOverflowFallback:
     #: Feasible, bounded chain LP with modest coefficients — solvable by
     #: either kernel, so the fallback's answer can be pinned exactly.
-    def _chain_problem(self, scale=1):
+    def _chain_problem(self):
         xs = SYMBOLS[:3]
         constraints = []
         for a, b in zip(xs, xs[1:]):
-            constraints.append(LinearConstraint.make({a: scale, b: -scale}))
-            constraints.append(
-                LinearConstraint.make({b: scale, a: -scale}, -3 * scale)
-            )
+            constraints.append(LinearConstraint.make({a: 1, b: -1}))
+            constraints.append(LinearConstraint.make({b: 1, a: -1}, -3))
         for x in xs:
             constraints.append(LinearConstraint.make({x: 1}, -9))
             constraints.append(LinearConstraint.make({x: -1}, 0))
@@ -405,7 +403,14 @@ class TestOverflowFallback:
     def test_construction_overflow_falls_back(self, kernel_mode):
         """Coefficients beyond the bound never enter the int64 matrix."""
         kernel_mode("int64")
-        objective, constraints = self._chain_problem(scale=2**62)
+        objective, constraints = self._chain_problem()
+        # A redundant row (x, y <= 9 already imply it) whose entries are
+        # coprime, so even its gcd-primitive form exceeds the int64 bound.
+        x, y = SYMBOLS[:2]
+        constraints.append(
+            LinearConstraint.make({x: 2**62 + 1, y: -(2**62)}, -(2**66))
+        )
+        assert max(abs(c) for _, c in constraints[-1].coeffs) >= 2**62
         reset_kernel_stats()
         result = exact_maximize(objective, constraints)
         stats = kernel_stats()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Source-invariant checker (CI's ``invariants`` step, importable by tests).
 
-A Python-AST lint over ``src/repro`` for two invariants no unit test can
+A Python-AST lint over ``src/repro`` for four invariants no unit test can
 pin down once and for all, because new call sites keep appearing:
 
 * **Tuning knobs stay out of cache keys.**  The process-local performance
@@ -22,6 +22,16 @@ pin down once and for all, because new call sites keep appearing:
   string pairs.  A computed allowlist (comprehension, function call,
   module-prefix matching) is how the arbitrary-code-execution hole the
   restricted unpickler exists to close gets reopened by accident.
+* **The package imports only what it declares.**  Every top-level import
+  that is neither standard library (``sys.stdlib_module_names``) nor
+  ``repro`` itself must name a ``[project].dependencies`` entry of
+  ``pyproject.toml`` (compared after lower-casing and mapping ``-``/``.``
+  to ``_``, i.e. the import name is assumed to be the project name), so a
+  clean install of the declared dependencies can import every module.
+* **The projection, memo and hull layers are Fraction-free.**  Constraints
+  are gcd-primitive integer rows; ``polyhedra/fourier_motzkin.py``,
+  ``polyhedra/cache.py`` and ``polyhedra/hull.py`` may not import
+  ``fractions``, so rational arithmetic cannot creep back into them.
 
 Run from the repository root::
 
@@ -33,6 +43,7 @@ Exit status 0 when the sources are clean, 1 otherwise (problems on stderr).
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import Iterator, Optional
@@ -66,6 +77,22 @@ KEY_MODULES = ("engine/cache.py", "lang/fingerprint.py")
 
 #: Names under which the restricted unpickler is called.
 UNPICKLER_NAMES = frozenset({"RestrictedUnpickler", "restricted_loads"})
+
+#: Modules that work on integer constraint rows only.
+FRACTION_FREE_MODULES = (
+    "polyhedra/fourier_motzkin.py",
+    "polyhedra/cache.py",
+    "polyhedra/hull.py",
+)
+
+#: One element of a TOML string array: a quoted string or a comment.
+_ARRAY_TOKEN = r"""("[^"]*"|'[^']*'|\#[^\n]*)"""
+
+#: ``dependencies = [...]`` holding only quoted requirement strings (and
+#: comments).
+_DEPENDENCY_ARRAY = re.compile(
+    rf"^dependencies\s*=\s*\[((?:\s*{_ARRAY_TOKEN}\s*,?)*)\s*\]", re.M
+)
 
 
 def python_sources(root: Path = SOURCE_ROOT) -> list[Path]:
@@ -238,8 +265,87 @@ def check_unpickler_allowlists(root: Path = SOURCE_ROOT) -> list[str]:
     return problems
 
 
+def _top_level_imports(tree: ast.AST) -> Iterator[tuple[str, int]]:
+    """``(top-level module, line)`` of every absolute import under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module.split(".")[0], node.lineno
+
+
+def declared_dependencies(pyproject: Path) -> Optional[frozenset[str]]:
+    """Normalised ``[project].dependencies`` names, ``None`` if unreadable."""
+    text = pyproject.read_text(encoding="utf-8")
+    project = re.search(r"^\[project\][ \t]*$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    array = project and _DEPENDENCY_ARRAY.search(project.group(1))
+    if not array:
+        return None
+    names = set()
+    for token in re.findall(_ARRAY_TOKEN, array.group(1)):
+        name = re.match(r"""["']\s*([A-Za-z0-9][A-Za-z0-9._-]*)""", token)
+        if name:
+            names.add(_normalise(name.group(1)))
+    return frozenset(names)
+
+
+def _normalise(name: str) -> str:
+    return name.lower().replace("-", "_").replace(".", "_")
+
+
+def check_declared_dependencies(root: Path = SOURCE_ROOT) -> list[str]:
+    """Third-party imports missing from pyproject.toml (empty when clean)."""
+    pyproject = REPO_ROOT / "pyproject.toml"
+    declared = declared_dependencies(pyproject)
+    if declared is None:
+        return [
+            f"{pyproject.name}: no [project] dependencies array of quoted"
+            " requirement strings"
+        ]
+    problems: list[str] = []
+    for path in python_sources(root):
+        relative = path.relative_to(REPO_ROOT)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(relative))
+        for module, line in _top_level_imports(tree):
+            if (
+                module in sys.stdlib_module_names
+                or module == "repro"
+                or _normalise(module) in declared
+            ):
+                continue
+            problems.append(
+                f"{relative}:{line}: imports third-party `{module}`, which is"
+                " not a declared dependency in pyproject.toml"
+            )
+    return problems
+
+
+def check_fraction_free_modules(root: Path = SOURCE_ROOT) -> list[str]:
+    """Imports of ``fractions`` in the integer-row modules (empty when clean)."""
+    problems: list[str] = []
+    for path in python_sources(root):
+        if not str(path).replace("\\", "/").endswith(FRACTION_FREE_MODULES):
+            continue
+        relative = path.relative_to(REPO_ROOT)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(relative))
+        for module, line in _top_level_imports(tree):
+            if module == "fractions":
+                problems.append(
+                    f"{relative}:{line}: imports `fractions` — constraints are"
+                    " integer rows; rationals belong at the make()/formula"
+                    " boundary"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = check_knob_isolation() + check_unpickler_allowlists()
+    problems = (
+        check_knob_isolation()
+        + check_unpickler_allowlists()
+        + check_declared_dependencies()
+        + check_fraction_free_modules()
+    )
     for problem in problems:
         print(f"INVARIANT: {problem}", file=sys.stderr)
     if not problems:
