@@ -3,25 +3,24 @@
 ::
 
     repro analyze FILE [--procedure P] [--cost-variable V] [--sub k=v ...]
-                [--parallel-sccs [N]] [--lint]
+                [--lint]
     repro bench --suite table1|fig3|table2|all [--tool chora|icra|unrolling]
                 [--depth N] [--jobs N] [--full] [--json]
                 [--engine pool|warm] [--shard I/N] [--memo-snapshot]
                 [--distribute HOST:PORT,...] [--deadline-ms MS] [--retry-429 N]
-                [--cache-url URL] [--parallel-sccs [N]] [--lint]
+                [--cache-url URL] [--lint]
     repro lint FILE ... [--severity error|warning|info] [--disable CODES]
                [--json]
     repro batch --url URL (--suite NAME | --tasks FILE) [--deadline-ms MS]
                 [--retry-429 N] [--json]
     repro serve [--host H] [--port P] [--workers N] [--timeout S]
-                [--backlog N] [--cache-url URL] [--parallel-sccs [N]]
+                [--backlog N] [--cache-url URL]
     repro loadtest --url URL [--rps N] [--duration S] [--concurrency N]
                    [--deadline-ms MS] [--json]
     repro profile [--suite NAME|all] [--micro] [--engines] [--check]
-                  [--threshold PCT] [--parallel-sccs [N]]
+                  [--threshold PCT]
     repro fuzz [--seed S] [--count N] [--runs R] [--size K] [--minimize]
                [--out DIR] [--no-baselines] [--jobs N] [--timeout S] [--json]
-               [--parallel-sccs [N]]
     repro suites
     repro cache stats|clear [--cache-dir DIR | --cache-url URL]
 
@@ -66,12 +65,6 @@ runs the differential fuzzer: seeded random programs, every analyser claim
 cross-checked against concrete interpreter runs, findings written to
 ``--out`` (minimized with ``--minimize``); exit status 1 when a campaign
 surfaces a violation.
-
-Every command that runs CHORA itself accepts ``--parallel-sccs [N]``:
-independent strongly-connected components of each program's call graph are
-analysed in up to ``N`` forked children (bare flag or ``auto`` means one per
-CPU), with verdicts, bounds and rendered tables bit-identical to a serial
-run.
 
 The full command reference with examples lives in ``docs/cli.md``.
 """
@@ -463,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--full", action="store_true", help="include the slow suite rows"
     )
-    _parallel_sccs_argument(profile)
     profile.add_argument(
         "--json", action="store_true", help="emit the recorded entries as JSON"
     )
@@ -576,7 +568,6 @@ def _engine_arguments(
             help="warm-start worker forks from the persisted polyhedral memo"
             " snapshot (default: on whenever the result cache is enabled)",
         )
-    _parallel_sccs_argument(parser)
     if json_flag:
         parser.add_argument(
             "--json", action="store_true", help="emit machine-readable JSON"
@@ -615,10 +606,10 @@ def _lint_gate_argument(parser: argparse.ArgumentParser) -> None:
 def _apply_lint_gate(arguments: argparse.Namespace) -> None:
     """Install ``--lint`` process-wide so forked and spawned workers see it.
 
-    An environment variable for the same reason ``--parallel-sccs`` uses
-    one: it must reach worker processes without entering task cache keys.
-    ``main`` restores the variable on exit so in-process callers (tests,
-    embedding) do not gate every later run.
+    An environment variable, because it must reach worker processes
+    without entering task cache keys.  ``main`` restores the variable on
+    exit so in-process callers (tests, embedding) do not gate every later
+    run.
     """
     if getattr(arguments, "lint", False):
         import os
@@ -626,56 +617,6 @@ def _apply_lint_gate(arguments: argparse.Namespace) -> None:
         from .engine.tasks import LINT_GATE_ENV
 
         os.environ[LINT_GATE_ENV] = "1"
-
-
-def _parallel_sccs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallel-sccs",
-        nargs="?",
-        const="auto",
-        default=None,
-        type=_parallel_sccs_value,
-        metavar="N",
-        help="analyse independent call-graph SCCs of each program in up to N"
-        " forked children (bare flag or 'auto': one per CPU; 0/1: serial;"
-        " default: serial, or REPRO_PARALLEL_SCCS).  Verdicts, bounds and"
-        " tables are bit-identical to a serial run",
-    )
-
-
-def _parallel_sccs_value(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a worker count or 'auto', got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("the SCC worker count must be >= 0")
-    return value
-
-
-def _apply_parallel_sccs(arguments: argparse.Namespace) -> Optional[int]:
-    """Install the ``--parallel-sccs`` setting process-wide, if given.
-
-    Both channels are set: the in-process override covers this process and
-    every forked engine worker, the environment variable covers spawned
-    worker replacements (which start from a fresh interpreter).
-    """
-    value = getattr(arguments, "parallel_sccs", None)
-    if value is None:
-        return None
-    import os
-
-    from .core.parallel import PARALLEL_SCCS_ENV, resolve_worker_request
-    from .core import set_parallel_sccs
-
-    workers = resolve_worker_request(value)
-    set_parallel_sccs(workers)
-    os.environ[PARALLEL_SCCS_ENV] = str(workers)
-    return workers
 
 
 def _make_engine(arguments: argparse.Namespace) -> BatchEngine:
@@ -698,7 +639,6 @@ def _make_engine(arguments: argparse.Namespace) -> BatchEngine:
 # Sub-commands
 # ---------------------------------------------------------------------- #
 def _command_analyze(arguments: argparse.Namespace) -> int:
-    _apply_parallel_sccs(arguments)
     _apply_lint_gate(arguments)
     try:
         source = arguments.file.read_text(encoding="utf-8")
@@ -764,7 +704,6 @@ def _command_analyze(arguments: argparse.Namespace) -> int:
 
 
 def _command_bench(arguments: argparse.Namespace) -> int:
-    parallel_sccs = _apply_parallel_sccs(arguments)
     _apply_lint_gate(arguments)
     full = arguments.full or full_bench_enabled()
     try:
@@ -826,7 +765,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
             options=options,
             cache=cache,
             memo_snapshot=arguments.memo_snapshot,
-            parallel_sccs=parallel_sccs,
         ) as pool:
             # The same suite-serving path POST /batch uses, so a local warm
             # bench and a served suite return identical records.
@@ -1069,7 +1007,6 @@ def _command_batch(arguments: argparse.Namespace) -> int:
 def _command_serve(arguments: argparse.Namespace) -> int:
     from .service import serve as build_server
 
-    parallel_sccs = _apply_parallel_sccs(arguments)
     cache = make_cache(
         no_cache=getattr(arguments, "no_cache", False),
         directory=arguments.cache_dir,
@@ -1092,7 +1029,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                 if arguments.backlog is not None
                 else DEFAULT_BACKLOG
             ),
-            parallel_sccs=parallel_sccs,
         )
     except OSError as error:
         print(
@@ -1144,7 +1080,6 @@ def _verdict(result: BatchResult) -> str:
 def _command_profile(arguments: argparse.Namespace) -> int:
     from .engine import profile as perf
 
-    parallel_sccs = _apply_parallel_sccs(arguments)
     if not arguments.micro and not arguments.suite and not arguments.engines:
         print(
             "repro profile: pass --suite NAME, --micro and/or --engines",
@@ -1221,7 +1156,6 @@ def _command_profile(arguments: argparse.Namespace) -> int:
                     arguments.label,
                     arguments.jobs,
                     timeout=arguments.timeout,
-                    parallel_sccs=parallel_sccs,
                 ),
             )
     if arguments.json:
@@ -1360,7 +1294,6 @@ def _command_fuzz(arguments: argparse.Namespace) -> int:
     from .fuzz import GeneratorConfig, format_program, generate_program, program_seed
     from .fuzz.shrink import shrink_program
 
-    _apply_parallel_sccs(arguments)
     if arguments.timeout is None:
         arguments.timeout = FUZZ_DEFAULT_TIMEOUT
     config = GeneratorConfig(size=arguments.size)

@@ -32,14 +32,6 @@ from .two_region import recursive_only_cfg, run_two_region_analysis
 from .mutual import analyze_component_decoupled, analyze_mutual_component
 from .missing_base import procedures_without_base_case, transform_missing_base_cases
 from .chora import AnalysisResult, ChoraOptions, analyze_component, analyze_program
-from .parallel import (
-    ComponentTiming,
-    ParallelScheduleReport,
-    analyze_program_parallel,
-    configured_parallel_sccs,
-    last_schedule_report,
-    set_parallel_sccs,
-)
 from .incremental import IncrementalAnalyzer, IncrementalReport
 from .assertion import AssertionOutcome, check_assertion, check_assertions
 from .complexity import (
@@ -77,12 +69,6 @@ __all__ = [
     "ChoraOptions",
     "analyze_component",
     "analyze_program",
-    "ComponentTiming",
-    "ParallelScheduleReport",
-    "analyze_program_parallel",
-    "configured_parallel_sccs",
-    "last_schedule_report",
-    "set_parallel_sccs",
     "IncrementalAnalyzer",
     "IncrementalReport",
     "AssertionOutcome",

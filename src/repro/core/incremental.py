@@ -44,7 +44,7 @@ import sympy
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from ..analysis import ProcedureContext
 from ..formulas import TransitionFormula
@@ -55,12 +55,6 @@ from ..polyhedra.cache import restricted_loads
 from .chora import AnalysisResult, ChoraOptions, analyze_component
 from .height_analysis import HeightAnalysis
 from .missing_base import transform_missing_base_cases
-from .parallel import (
-    configured_parallel_sccs,
-    fork_available,
-    last_schedule_report,
-    run_component_dag,
-)
 from .summaries import ProcedureSummary
 
 if TYPE_CHECKING:  # pragma: no cover - layering: engine imports core
@@ -196,16 +190,8 @@ class IncrementalAnalyzer:
     no meaning).
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_COMPONENT_CAPACITY,
-        parallel_sccs: int | None = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_COMPONENT_CAPACITY):
         self.capacity = max(1, int(capacity))
-        #: SCC worker count for cache-miss components (``None``: read the
-        #: process-wide configuration; ``0``/``1``: serial).  Splicing always
-        #: runs in-process — only fingerprint misses fork.
-        self.parallel_sccs = parallel_sccs
         self._store: OrderedDict[tuple, _ComponentRecord] = OrderedDict()
         self.last_report = IncrementalReport()
 
@@ -236,17 +222,6 @@ class IncrementalAnalyzer:
         def component_key(component: list[str]) -> tuple:
             return (options_print, tuple(fingerprints[name] for name in component))
 
-        workers = (
-            configured_parallel_sccs()
-            if self.parallel_sccs is None
-            else self.parallel_sccs
-        )
-        if workers > 1 and len(components) > 1 and fork_available():
-            return self._analyze_parallel(
-                program, graph, components, contexts, procedures, options,
-                workers, component_key,
-            )
-
         result = AnalysisResult(program, {}, contexts, graph)
         external: dict[str, TransitionFormula] = {}
         analyzed: list[str] = []
@@ -266,46 +241,6 @@ class IncrementalAnalyzer:
             self._remember(key, component, result)
             analyzed.extend(component)
 
-        self.last_report = IncrementalReport(tuple(analyzed), tuple(reused))
-        return result
-
-    def _analyze_parallel(
-        self,
-        program: ast.Program,
-        graph,
-        components: list[list[str]],
-        contexts: Mapping[str, ProcedureContext],
-        procedures: Mapping[str, ast.Procedure],
-        options: ChoraOptions,
-        workers: int,
-        component_key,
-    ) -> AnalysisResult:
-        """Splice cache hits in-process and fork the fingerprint misses."""
-
-        def resolve(component: list[str]):
-            record = self._store.get(component_key(component))
-            if record is None:
-                return None
-            self._store.move_to_end(component_key(component))
-            return record.summaries, record.height_analyses
-
-        def on_analyzed(component: list[str], record) -> None:
-            summaries, height_analyses = record
-            self._store[component_key(component)] = _ComponentRecord(
-                summaries=dict(summaries), height_analyses=dict(height_analyses)
-            )
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-
-        result = run_component_dag(
-            program, graph, components, contexts, procedures, options,
-            workers, resolve, on_analyzed,
-        )
-        analyzed: list[str] = []
-        reused: list[str] = []
-        report = last_schedule_report()
-        for timing in report.timings if report is not None else ():
-            (reused if timing.mode == "spliced" else analyzed).extend(timing.names)
         self.last_report = IncrementalReport(tuple(analyzed), tuple(reused))
         return result
 

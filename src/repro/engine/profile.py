@@ -112,7 +112,6 @@ def suite_entry_record(
     label: str = "",
     jobs: int = 1,
     timeout: Optional[float] = None,
-    parallel_sccs: Optional[int] = None,
 ) -> dict[str, Any]:
     """A perf entry summarizing one cold suite run.
 
@@ -120,9 +119,7 @@ def suite_entry_record(
     worker processes, so the parent's tables see none of the traffic.
     ``timeout`` is the per-row deadline the run was taken under (recorded so
     nightly entries with row budgets are not compared naively against
-    unbudgeted ones); ``parallel_sccs`` is the intra-program SCC worker
-    count, recorded for the same reason (results are identical either way,
-    wall times are not).
+    unbudgeted ones).
     """
     return {
         "kind": "suite",
@@ -131,7 +128,6 @@ def suite_entry_record(
         "created": _timestamp(),
         "jobs": jobs,
         "timeout": timeout,
-        "parallel_sccs": parallel_sccs,
         "rows": [
             {
                 "name": result.name,
@@ -367,82 +363,6 @@ def _micro_exact_infeasible() -> None:
         lp.is_satisfiable(constraints)
 
 
-def _micro_lp_chain(length: int):
-    """A chain LP whose tableau sits in the int64 kernel's sweet spot."""
-    from ..polyhedra import LinearConstraint
-
-    xs = _micro_symbols(length)
-    constraints = []
-    for a, b in zip(xs, xs[1:]):
-        # a <= b <= a + 3, inside a shared box.
-        constraints.append(LinearConstraint.make({a: 1, b: -1}))
-        constraints.append(LinearConstraint.make({b: 1, a: -1}, -3))
-    for x in xs:
-        constraints.append(LinearConstraint.make({x: 1}, -60))
-        constraints.append(LinearConstraint.make({x: -1}, 0))
-    objective = {x: Fraction(i + 1) for i, x in enumerate(xs)}
-    return objective, constraints
-
-
-def _micro_simplex_int64() -> None:
-    """Exact LP maximization with the fixed-width int64 tableau kernel.
-
-    The kernel is pinned to ``int64`` for the duration (restored after), so
-    this row times the vectorised pivot path itself; the coefficients are
-    small enough that the overflow guard never forces a bignum fallback.
-    """
-    from ..polyhedra.cache import clear_caches
-    from ..polyhedra.simplex import exact_maximize, set_simplex_kernel
-
-    objective, constraints = _micro_lp_chain(10)
-    previous = set_simplex_kernel("int64")
-    try:
-        for _ in range(40):
-            clear_caches(force=True)
-            exact_maximize(objective, constraints)
-    finally:
-        set_simplex_kernel(previous)
-
-
-def _micro_scc_parallel() -> None:
-    """DAG-schedule a wide call graph across two forked SCC workers.
-
-    Times the fork/merge machinery end to end — child processes, summary
-    pickling, fresh-symbol reconciliation — on a program whose four leaf
-    procedures are independent SCCs.  On a single-core host the children
-    serialize, so the row tracks scheduling overhead rather than speedup.
-    """
-    from ..core.parallel import analyze_program_parallel, fork_available
-    from ..core import analyze_program
-    from ..lang import parse_program
-
-    parts = []
-    for i in range(1, 5):
-        parts.append(
-            f"""
-int f{i}(int n) {{
-    cost = cost + {i};
-    if (n <= 0) {{
-        return 0;
-    }}
-    int r = f{i}(n - 1);
-    return r + 1;
-}}
-"""
-        )
-    calls = "\n    ".join(f"f{i}(n);" for i in range(1, 5))
-    source = "int cost = 0;\n" + "".join(parts) + (
-        "\nint main(int n) {\n    cost = cost + 1;\n    "
-        + calls
-        + "\n    return cost;\n}\n"
-    )
-    program = parse_program(source)
-    if fork_available():
-        analyze_program_parallel(program, workers=2)
-    else:
-        analyze_program(program)
-
-
 #: The tier-2 micro-benchmark registry guarded by the CI perf gate.
 MICRO_BENCHMARKS: dict[str, Callable[[], None]] = {
     "projection_chain": _micro_projection_chain,
@@ -450,8 +370,6 @@ MICRO_BENCHMARKS: dict[str, Callable[[], None]] = {
     "minimize_redundant": _micro_minimize_redundant,
     "dnf_product": _micro_dnf_product,
     "exact_infeasible": _micro_exact_infeasible,
-    "simplex-int64": _micro_simplex_int64,
-    "scc-parallel": _micro_scc_parallel,
 }
 
 
@@ -461,29 +379,19 @@ def run_micro_benchmarks(repeats: int = 3) -> list[dict[str, Any]]:
     The memo caches are force-cleared before every repetition — even inside
     a ``keep_warm`` scope or a worker that loaded a persisted memo snapshot
     — so the gate measures the cold algorithmic path, never a table lookup.
-    The simplex kernel selection is reset to ``auto`` the same way: whatever
-    mode the process had pinned (a test, a prior row) must not leak into the
-    timings, exactly as warm memo tables must not.
     """
     from ..polyhedra.cache import clear_caches
-    from ..polyhedra.simplex import reset_kernel_stats, set_simplex_kernel
 
     rows = []
-    entry_mode = set_simplex_kernel("auto")
-    try:
-        for name, function in MICRO_BENCHMARKS.items():
-            best = None
-            for _ in range(max(1, repeats)):
-                clear_caches(force=True)
-                set_simplex_kernel("auto")
-                reset_kernel_stats()
-                started = time.perf_counter()
-                function()
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-            rows.append({"name": name, "seconds": round(best, 5)})
-    finally:
-        set_simplex_kernel(entry_mode)
+    for name, function in MICRO_BENCHMARKS.items():
+        best = None
+        for _ in range(max(1, repeats)):
+            clear_caches(force=True)
+            started = time.perf_counter()
+            function()
+            elapsed = time.perf_counter() - started
+            best = elapsed if best is None else min(best, elapsed)
+        rows.append({"name": name, "seconds": round(best, 5)})
     return rows
 
 

@@ -29,9 +29,7 @@ from ..core import (
     AnalysisResult,
     ChoraOptions,
     analyze_program,
-    analyze_program_parallel,
     check_assertions,
-    configured_parallel_sccs,
     cost_bound,
 )
 from ..lang import ParseError, SemanticsError, parse_program
@@ -150,13 +148,7 @@ def set_program_analyzer(analyzer: Optional[Callable]) -> Optional[Callable]:
 
 def _analyze(program, options: ChoraOptions) -> AnalysisResult:
     if _PROGRAM_ANALYZER is not None:
-        # The warm service's IncrementalAnalyzer honours the configured SCC
-        # worker count itself (splicing runs in-process, misses fork).
         return _PROGRAM_ANALYZER(program, options)
-    if configured_parallel_sccs() > 1:
-        # Results are bit-identical to the serial pass (verdicts, bounds,
-        # payload key order), so the worker count never enters cache keys.
-        return analyze_program_parallel(program, options)
     return analyze_program(program, options)
 
 

@@ -27,7 +27,7 @@ and boundedness are properties of the LP itself, not of the tableau
 representation, so the results are bit-identical to the previous
 ``Fraction``-based tableau; the Hypothesis differential suite in
 ``tests/unit/test_simplex_integer.py`` pins the two implementations against
-each other on random LPs.
+each other on random LPs, including coefficients near ``±2**63``.
 """
 
 from __future__ import annotations
@@ -40,91 +40,12 @@ from typing import Mapping, Sequence
 from ..formulas.symbols import Symbol
 from .constraint import ConstraintKind, LinearConstraint, combine
 
-try:  # numpy backs the fixed-width kernel; without it every LP runs bignum.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
-
 __all__ = [
     "ExactLpResult",
     "exact_maximize",
     "exact_is_satisfiable",
     "exact_entails",
-    "set_simplex_kernel",
-    "simplex_kernel",
-    "int64_available",
-    "kernel_stats",
-    "reset_kernel_stats",
 ]
-
-# ---------------------------------------------------------------------------
-# Kernel selection.
-#
-# Two pivot kernels implement the same fraction-free Bareiss tableau: the
-# original per-row Python bignum lists (`_Tableau`) and a vectorised numpy
-# int64 matrix (`_Int64Tableau`).  Both perform *identical* integer
-# arithmetic — same pivots, same gcd reductions, same Bland/ratio decisions
-# made on exact Python integers — so every result is bit-identical; the
-# int64 kernel merely refuses (via `_Int64Overflow`) any pivot whose
-# intermediates could exceed the fixed width, at which point the whole LP is
-# re-run on the bignum tableau.  The kernel choice is therefore invisible to
-# callers: memo keys, verdicts and optimal values never depend on it.
-# ---------------------------------------------------------------------------
-
-_KERNEL_MODES = ("auto", "int64", "bignum")
-_kernel_mode = "auto"
-# Any tableau entry, denominator or pivot intermediate must stay strictly
-# below this bound.  2^62 leaves headroom so that the multiply-subtract
-# `a*p - f*b` (bounded by rows_max*p + f_max*prow_max, checked before the
-# pivot) can never reach 2^63 even transiently.  Tests shrink it to force
-# the overflow detector to fire on small inputs.
-_INT64_SAFE = 1 << 62
-# In "auto" mode only tableaus with at least this many cells take the numpy
-# path: below it the per-pivot numpy dispatch overhead exceeds the bignum
-# loop it replaces.  "int64" mode ignores the floor (used by benchmarks and
-# the differential tests to exercise the kernel on any size).
-_INT64_MIN_CELLS = 256
-
-_KERNEL_STATS = {"int64": 0, "bignum": 0, "fallbacks": 0}
-
-
-def set_simplex_kernel(mode: str) -> str:
-    """Select the pivot kernel; returns the previous mode.
-
-    ``auto`` (default) routes large integral tableaus to the int64 kernel,
-    ``int64`` prefers it regardless of size, ``bignum`` disables it.  All
-    modes produce bit-identical results.
-    """
-    global _kernel_mode
-    if mode not in _KERNEL_MODES:
-        raise ValueError(f"unknown simplex kernel {mode!r}; expected one of {_KERNEL_MODES}")
-    previous = _kernel_mode
-    _kernel_mode = mode
-    return previous
-
-
-def simplex_kernel() -> str:
-    """Return the current kernel mode ('auto', 'int64' or 'bignum')."""
-    return _kernel_mode
-
-
-def int64_available() -> bool:
-    """True when numpy is importable, i.e. the int64 kernel can run."""
-    return _np is not None
-
-
-def kernel_stats() -> dict[str, int]:
-    """Counters: LPs solved per kernel plus int64→bignum overflow fallbacks."""
-    return dict(_KERNEL_STATS)
-
-
-def reset_kernel_stats() -> None:
-    for key in _KERNEL_STATS:
-        _KERNEL_STATS[key] = 0
-
-
-class _Int64Overflow(Exception):
-    """Raised by the int64 kernel when a pivot could exceed the fixed width."""
 
 
 @dataclass(frozen=True)
@@ -310,156 +231,6 @@ def _reduce_objective(
     return onum, val_num, oden
 
 
-class _Int64Tableau:
-    """Vectorised int64 twin of :class:`_Tableau`.
-
-    The tableau lives in one ``(nrows, ncols + 1)`` int64 matrix whose last
-    column is the right-hand side, plus an int64 denominator vector, so the
-    Bareiss multiply-subtract and the per-row gcd normalisation become whole-
-    matrix numpy expressions.  Everything *decision-shaped* — the priced-out
-    objective row, Bland's entering scan and the cross-multiplied ratio
-    test — stays in exact Python integers (those touch a single row or
-    column per pivot, so they are cheap, and keeping them exact removes any
-    fixed-width concern from the pivot-selection logic).  The pivot sequence
-    is therefore identical to the bignum kernel's, and so is every integer
-    the tableau ever holds.
-
-    Before each pivot a bound on the multiply-subtract intermediates is
-    computed in Python integers; if it could reach ``_INT64_SAFE`` the kernel
-    raises :class:`_Int64Overflow` and the caller restarts the LP on the
-    bignum tableau (tableau-wise fallback — by construction no partially
-    wrapped state can ever be observed).
-    """
-
-    __slots__ = ("m", "den", "basis", "ncols")
-
-    def __init__(self, rows: list[list[int]], rhs: list[int], basis: list[int]):
-        nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        try:
-            m = _np.empty((nrows, self.ncols + 1), dtype=_np.int64)
-            for i, row in enumerate(rows):
-                m[i, :-1] = row
-                m[i, -1] = rhs[i]
-        except OverflowError as exc:  # an entry does not even fit in int64
-            raise _Int64Overflow from exc
-        # Magnitude check via min/max, not np.abs: abs(-2^63) wraps in int64.
-        if m.size and max(-int(m.min()), int(m.max())) >= _INT64_SAFE:
-            raise _Int64Overflow
-        self.m = m
-        self.den = _np.ones(nrows, dtype=_np.int64)
-        self.basis = basis
-
-    def _reduce_rows(self, mask: "_np.ndarray") -> None:
-        """gcd-normalise every masked row (entries, rhs and denominator)."""
-        rows = self.m[mask]
-        g = _np.gcd.reduce(_np.abs(rows), axis=1)
-        g = _np.gcd(g, self.den[mask])
-        if bool((g > 1).any()):
-            # Exact: g divides every entry, so floor division is exact
-            # division even for negative entries.
-            self.m[mask] = rows // g[:, None]
-            self.den[mask] = self.den[mask] // g
-
-    def _reduce_row(self, r: int) -> None:
-        row = self.m[r]
-        g = math.gcd(int(_np.gcd.reduce(_np.abs(row))), int(self.den[r]))
-        if g > 1:
-            row //= g
-            self.den[r] //= g
-
-    def pivot(self, row: int, col: int) -> None:
-        """Make ``col`` basic in ``row`` — same arithmetic as `_Tableau.pivot`."""
-        m = self.m
-        p = int(m[row, col])
-        if p < 0:
-            # Same drive-artificials-out corner as the bignum kernel; the
-            # negation cannot overflow because entries stay < _INT64_SAFE.
-            _np.negative(m[row], out=m[row])
-            p = -p
-        pivot_row = m[row]
-        factors = m[:, col].copy()
-        factors[row] = 0
-        mask = factors != 0
-        if bool(mask.any()):
-            touched = m[mask]
-            rows_max = int(_np.abs(touched).max())
-            factor_max = int(_np.abs(factors[mask]).max())
-            prow_max = int(_np.abs(pivot_row).max())
-            den_max = int(self.den[mask].max())
-            # Python-int bound check: |a*p - f*b| <= rows_max*p +
-            # factor_max*prow_max, and each intermediate product is bounded
-            # by one of the two addends, so passing here guarantees no
-            # transient wraps either.
-            if rows_max * p + factor_max * prow_max >= _INT64_SAFE or den_max * p >= _INT64_SAFE:
-                raise _Int64Overflow
-            m[mask] = touched * p - factors[mask, None] * pivot_row
-            self.den[mask] = self.den[mask] * p
-            self._reduce_rows(mask)
-        self.den[row] = p
-        self._reduce_row(row)
-        self.basis[row] = col
-
-    def first_nonzero(self, row: int, limit: int) -> int | None:
-        nz = _np.nonzero(self.m[row, :limit])[0]
-        return int(nz[0]) if nz.size else None
-
-    def optimize(
-        self, obj_num: list[int], obj_den: int, allowed_cols: Sequence[int]
-    ) -> tuple[str, Fraction]:
-        """Maximize ``obj_num / obj_den`` — decision logic mirrors `_Tableau`."""
-        onum = list(obj_num)
-        oden = obj_den
-        val_num = 0
-        for i, basic_col in enumerate(self.basis):
-            coeff = onum[basic_col]
-            if coeff == 0:
-                continue
-            d = int(self.den[i])
-            row = self.m[i].tolist()
-            row_rhs = row.pop()
-            onum = [a * d - coeff * b if b else a * d for a, b in zip(onum, row)]
-            val_num = val_num * d - coeff * row_rhs
-            oden *= d
-            onum, val_num, oden = _reduce_objective(onum, val_num, oden)
-        nrows = len(self.basis)
-        while True:
-            entering = None
-            for col in allowed_cols:
-                if onum[col] > 0:
-                    entering = col
-                    break
-            if entering is None:
-                return "optimal", Fraction(-val_num, oden)
-            column = self.m[:, entering].tolist()
-            rhs = self.m[:, -1].tolist()
-            leaving = None
-            best_num = best_den = 0
-            for r in range(nrows):
-                a = column[r]
-                if a > 0:
-                    num = rhs[r]
-                    cross = num * best_den - best_num * a
-                    if (
-                        leaving is None
-                        or cross < 0
-                        or (cross == 0 and self.basis[r] < self.basis[leaving])
-                    ):
-                        best_num, best_den = num, a
-                        leaving = r
-            if leaving is None:
-                return "unbounded", Fraction(0)
-            coeff = onum[entering]
-            self.pivot(leaving, entering)
-            d = int(self.den[leaving])
-            lrow = self.m[leaving].tolist()
-            lrhs = lrow.pop()
-            onum = [a * d - coeff * b if b else a * d for a, b in zip(onum, lrow)]
-            val_num = val_num * d - coeff * lrhs
-            oden *= d
-            onum, val_num, oden = _reduce_objective(onum, val_num, oden)
-
-
 def _standard_form(
     objective: Mapping[Symbol, Fraction],
     constraints: Sequence[LinearConstraint],
@@ -596,34 +367,16 @@ def exact_maximize(
         tab_rows.append(row)
         tab_rhs.append(b)
         basis.append(ncols + i)
-    result: ExactLpResult | None = None
-    if _use_int64(nrows, ncols + nrows):
-        try:
-            # The numpy constructor copies tab_rows/tab_rhs, so the bignum
-            # restart below always starts from pristine inputs.
-            tableau = _Int64Tableau(tab_rows, tab_rhs, list(basis))
-            result = _solve_two_phase(tableau, obj, obj_scale, ncols, nrows)
-            _KERNEL_STATS["int64"] += 1
-        except _Int64Overflow:
-            _KERNEL_STATS["fallbacks"] += 1
-    if result is None:
-        _KERNEL_STATS["bignum"] += 1
-        tableau = _Tableau(tab_rows, tab_rhs, basis)
-        result = _solve_two_phase(tableau, obj, obj_scale, ncols, nrows)
+    tableau = _Tableau(tab_rows, tab_rhs, basis)
+    result = _solve_two_phase(tableau, obj, obj_scale, ncols, nrows)
     if result.status != "optimal":
         return result
     assert result.value is not None
     return ExactLpResult("optimal", result.value + offset)
 
 
-def _use_int64(nrows: int, total_cols: int) -> bool:
-    if _np is None or _kernel_mode == "bignum":
-        return False
-    return _kernel_mode == "int64" or nrows * (total_cols + 1) >= _INT64_MIN_CELLS
-
-
 def _solve_two_phase(
-    tableau: "_Tableau | _Int64Tableau",
+    tableau: _Tableau,
     obj: list[int],
     obj_scale: int,
     ncols: int,

@@ -2,7 +2,7 @@
 
 ``repro batch --url``, the ``repro loadtest`` harness and the integration
 tests all talk to the service through :class:`ServiceClient`, so request
-framing, the ``/v1`` route preference, error-envelope decoding and
+framing, the ``/v1`` route prefix, error-envelope decoding and
 keep-alive handling live in exactly one place (they used to be duplicated
 ``urllib`` fragments).
 
@@ -105,10 +105,6 @@ class Response:
     def request_id(self) -> str:
         return self.headers.get("X-Request-Id", "")
 
-    @property
-    def deprecated(self) -> bool:
-        return "Deprecation" in self.headers
-
 
 def _parse_url(url: str) -> tuple[str, int, str]:
     """``(host, port, path prefix)`` of a service base URL."""
@@ -125,18 +121,14 @@ def _parse_url(url: str) -> tuple[str, int, str]:
 class ServiceClient:
     """A keep-alive client for one ``repro serve`` endpoint.
 
-    Routes are requested under ``/v1`` first; against an older service
-    whose ``/v1`` answers 404, the client falls back to the unversioned
-    path once and remembers the choice.  Not thread-safe (one underlying
-    connection): give each thread its own instance.
+    Every route is requested under ``/v1``.  Not thread-safe (one
+    underlying connection): give each thread its own instance.
     """
 
     def __init__(self, url: str, timeout: Optional[float] = 300.0) -> None:
         self.host, self.port, self.prefix = _parse_url(url)
         self.timeout = timeout
         self._connection: Optional[http.client.HTTPConnection] = None
-        #: None = undecided, True = this service speaks /v1.
-        self._v1: Optional[bool] = None
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -288,35 +280,15 @@ class ServiceClient:
             headers["Content-Type"] = "application/json"
         if deadline_ms is not None:
             headers["X-Repro-Deadline-Ms"] = f"{deadline_ms:g}"
-        route = route.lstrip("/")
-        attempts = ["v1", "legacy"] if self._v1 is None else (
-            ["v1"] if self._v1 else ["legacy"]
-        )
+        path = f"{self.prefix}/v1/{route.lstrip('/')}"
         started = time.monotonic()
-        for flavour in attempts:
-            versioned = flavour == "v1"
-            path = (
-                f"{self.prefix}/v1/{route}" if versioned else f"{self.prefix}/{route}"
-            )
-            status, payload, response_headers = self._round_trip(
-                method, path, body, headers
-            )
-            if status == 404 and versioned and self._v1 is None:
-                # An older service without /v1: fall back once, remember.
-                continue
-            if self._v1 is None:
-                self._v1 = versioned
-            decoded = self._decode(payload, status)
-            if status >= 300:
-                self._raise_http_error(status, decoded, response_headers)
-            return Response(
-                status, decoded, response_headers, time.monotonic() - started
-            )
-        # Both flavours 404ed: report the canonical path's envelope.
-        self._v1 = True
+        status, payload, response_headers = self._round_trip(
+            method, path, body, headers
+        )
         decoded = self._decode(payload, status)
-        self._raise_http_error(status, decoded, response_headers)
-        raise AssertionError("unreachable")  # pragma: no cover
+        if status >= 300:
+            self._raise_http_error(status, decoded, response_headers)
+        return Response(status, decoded, response_headers, time.monotonic() - started)
 
     def request_bytes(
         self, method: str, route: str, body: Optional[bytes] = None
@@ -328,8 +300,7 @@ class ServiceClient:
         ``application/octet-stream`` and a 2xx response body comes back as
         raw ``bytes`` in :attr:`Response.document`.  Non-2xx answers are
         still the service's JSON error envelope and raise the same typed
-        errors as :meth:`request`.  No legacy-path fallback: the cache
-        plane only exists under ``/v1``.
+        errors as :meth:`request`.
         """
         headers: dict[str, str] = {"Connection": "keep-alive"}
         if body is not None:

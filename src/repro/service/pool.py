@@ -61,13 +61,11 @@ def _worker_main(
     options: ChoraOptions,
     memo_storage=None,
     store_storage=None,
-    parallel_sccs: Optional[int] = None,
 ) -> None:
     """Entry point of one warm worker: serve requests until told to stop."""
     import signal
 
     from ..core import IncrementalAnalyzer, IncrementalReport
-    from ..core.parallel import take_schedule_report
     from ..engine.cache import code_fingerprint
     from ..polyhedra.cache import keep_warm, load_snapshot, save_snapshot
 
@@ -82,7 +80,7 @@ def _worker_main(
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
 
-    analyzer = IncrementalAnalyzer(parallel_sccs=parallel_sccs)
+    analyzer = IncrementalAnalyzer()
     previous = set_program_analyzer(analyzer.analyze)
     requests = 0
     loaded = 0
@@ -126,9 +124,8 @@ def _worker_main(
                 requests += 1
                 started = time.perf_counter()
                 # Reset so kinds that never run CHORA (the baselines) don't
-                # report the previous request's splice counts or schedule.
+                # report the previous request's splice counts.
                 analyzer.last_report = IncrementalReport()
-                take_schedule_report()
                 try:
                     payload = execute_task(message, options)
                     meta = {
@@ -136,12 +133,6 @@ def _worker_main(
                         "requests": requests,
                         "incremental": analyzer.last_report.to_dict(),
                     }
-                    schedule = take_schedule_report()
-                    if schedule is not None:
-                        # Per-SCC timing of the DAG-parallel scheduler: meta
-                        # only, never the payload, so cached results stay
-                        # identical between serial and parallel runs.
-                        meta["scc"] = schedule.to_dict()
                     reply = ("ok", payload, meta)
                 except InvalidProgram as error:
                     # Front-end rejection: a structured one-line detail the
@@ -203,12 +194,11 @@ class _WarmWorker:
         options: ChoraOptions,
         memo_storage=None,
         store_storage=None,
-        parallel_sccs: Optional[int] = None,
     ):
         parent_end, child_end = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_worker_main,
-            args=(child_end, options, memo_storage, store_storage, parallel_sccs),
+            args=(child_end, options, memo_storage, store_storage),
             daemon=True,
         )
         self.process.start()
@@ -325,13 +315,6 @@ class PoolStats:
     #: procedures spliced vs re-analysed by the workers' incremental stores.
     procedures_reused: int = 0
     procedures_analyzed: int = 0
-    #: DAG-parallel SCC scheduling inside the workers (meta["scc"]): how many
-    #: components ran in forked children vs inline, summed child wall time,
-    #: and how often the scheduler fell back to the serial pass.
-    scc_components_forked: int = 0
-    scc_components_inline: int = 0
-    scc_seconds: float = 0.0
-    scc_fallbacks: int = 0
     started: float = field(default_factory=time.time)
 
     def to_dict(self) -> dict[str, Any]:
@@ -344,10 +327,6 @@ class PoolStats:
             "restarts": self.restarts,
             "procedures_reused": self.procedures_reused,
             "procedures_analyzed": self.procedures_analyzed,
-            "scc_components_forked": self.scc_components_forked,
-            "scc_components_inline": self.scc_components_inline,
-            "scc_seconds": round(self.scc_seconds, 4),
-            "scc_fallbacks": self.scc_fallbacks,
             "uptime_seconds": round(time.time() - self.started, 1),
         }
 
@@ -384,16 +363,11 @@ class WorkerPool:
         options: ChoraOptions = ChoraOptions(),
         cache: Optional[ResultCache] = None,
         memo_snapshot: Optional[bool] = None,
-        parallel_sccs: Optional[int] = None,
     ):
         self.workers = max(1, int(workers))
         self.timeout = timeout
         self.options = options
         self.cache = cache
-        #: SCC worker count each warm worker analyses cache-miss components
-        #: with (``None``: the REPRO_PARALLEL_SCCS environment / serial).
-        #: Not part of any cache key — parallel results are bit-identical.
-        self.parallel_sccs = parallel_sccs
         # The polyhedral memo snapshot and the incremental summary store
         # live in their own namespaces of the result cache's storage
         # backend: workers load both on start and merge their state back on
@@ -428,7 +402,6 @@ class WorkerPool:
             self.options,
             self.memo_storage,
             self.incremental_storage,
-            self.parallel_sccs,
         )
         self._all.append(worker)
         self._idle.put(worker)
@@ -604,23 +577,9 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     def _absorb_meta(self, meta: dict) -> None:
         incremental = meta.get("incremental") or {}
-        schedule = meta.get("scc") or {}
-        components = schedule.get("components") or ()
         with self._stats_lock:
             self.stats.procedures_reused += len(incremental.get("reused", ()))
             self.stats.procedures_analyzed += len(incremental.get("analyzed", ()))
-            for component in components:
-                mode = component.get("mode")
-                if mode == "forked":
-                    self.stats.scc_components_forked += 1
-                elif mode in ("inline", "serial"):
-                    self.stats.scc_components_inline += 1
-                try:
-                    self.stats.scc_seconds += float(component.get("seconds", 0) or 0)
-                except (TypeError, ValueError):
-                    pass
-            if schedule.get("fallback"):
-                self.stats.scc_fallbacks += 1
 
     @staticmethod
     def _ok_result(

@@ -2,9 +2,8 @@
 
 The service speaks a versioned HTTP API.  Every route is mounted under
 ``/v1/`` (``/v1/analyze``, ``/v1/batch``, ``/v1/healthz``, ``/v1/stats``,
-``/v1/metrics``); the unversioned paths from earlier releases still answer,
-marked with a ``Deprecation: true`` header and a ``Link`` to their
-successor.  One ``asyncio`` event loop accepts **keep-alive and pipelined**
+``/v1/metrics``); any other path answers the ``not_found`` envelope below.
+One ``asyncio`` event loop accepts **keep-alive and pipelined**
 connections and parses HTTP/1.1 itself (stdlib only); analysis work is
 dispatched to the forked :class:`~repro.service.pool.WorkerPool` through a
 thread-pool executor, so a slow analysis never blocks the acceptor, health
@@ -72,10 +71,10 @@ The routes themselves are unchanged in substance:
 ``GET /v1/metrics``
     The SLO document described above.
 
-One route family is new in substance — the **cache plane** (``/v1`` only,
-no legacy alias).  When the service has a cache attached, it serves that
-store's entries over HTTP so :class:`~repro.service.remote.RemoteStorage`
-backends on other machines can share it:
+One route family is new in substance — the **cache plane**.  When the
+service has a cache attached, it serves that store's entries over HTTP so
+:class:`~repro.service.remote.RemoteStorage` backends on other machines can
+share it:
 
 ``GET/PUT/DELETE /v1/cache/{namespace}/{name}``
     One entry, moved verbatim as ``application/octet-stream``.  The
@@ -465,7 +464,6 @@ class ServiceMetrics:
         busy = pool.busy_workers()
         responses = dict(self.status_classes)
         responses["total"] = sum(self.status_classes.values())
-        pool_stats = pool.stats_dict()
         return {
             "uptime_seconds": round(time.time() - self.started, 1),
             "queue": {
@@ -477,16 +475,6 @@ class ServiceMetrics:
                 "total": pool.workers,
                 "busy": busy,
                 "utilisation": round(busy / pool.workers, 3) if pool.workers else 0.0,
-            },
-            # Intra-program DAG scheduling inside the workers: per-SCC
-            # timing aggregated from the workers' reply metas (see
-            # docs/architecture.md, "Intra-program parallelism").
-            "parallel_sccs": {
-                "configured": pool.parallel_sccs,
-                "components_forked": pool_stats.get("scc_components_forked", 0),
-                "components_inline": pool_stats.get("scc_components_inline", 0),
-                "component_seconds": pool_stats.get("scc_seconds", 0.0),
-                "fallbacks": pool_stats.get("scc_fallbacks", 0),
             },
             "responses": responses,
             "rejected_429": self.rejected_429,
@@ -830,30 +818,19 @@ class AnalysisServer:
     ) -> tuple[int, Any, list[tuple[str, str]], str]:
         """Route one request; returns (status, document, headers, route)."""
         path = request.target.split("?", 1)[0]
-        legacy = not path.startswith(f"/{API_VERSION}/")
-        name = path[len(API_VERSION) + 2 :] if not legacy else path.lstrip("/")
-        # The cache plane exists only under /v1 (no legacy alias to deprecate).
-        is_cache = not legacy and (name == "cache" or name.startswith("cache/"))
+        prefix = f"/{API_VERSION}/"
+        # Every route lives under /v1; an unversioned path names no route.
+        name = path[len(prefix) :] if path.startswith(prefix) else ""
+        is_cache = name == "cache" or name.startswith("cache/")
         route_label = (
             "cache"
             if is_cache
             else (name if name in self.ROUTES else "other")
         )
-        headers: list[tuple[str, str]] = []
-        if legacy and name in self.ROUTES:
-            # RFC 8594: the unversioned paths still work but are deprecated
-            # in favour of their /v1 successors.
-            headers.append(("Deprecation", "true"))
-            headers.append(
-                (
-                    "Link",
-                    f"</{API_VERSION}/{name}>; rel=\"successor-version\"",
-                )
-            )
         try:
             if is_cache:
                 status, document, extra = await self._route_cache(request, name)
-                return status, document, headers + list(extra), "cache"
+                return status, document, list(extra), "cache"
             if name not in self.ROUTES:
                 raise _HttpError(
                     404, "not_found", f"no such path {path!r}"
@@ -868,12 +845,12 @@ class AnalysisServer:
                 )
             handler = getattr(self, f"_route_{name}")
             status, document, extra = await handler(request)
-            return status, document, headers + list(extra), name
+            return status, document, list(extra), name
         except _HttpError as error:
             return (
                 error.status,
                 self._envelope(error, request_id),
-                headers + error.headers,
+                error.headers,
                 route_label,
             )
         except Exception as error:
@@ -889,7 +866,7 @@ class AnalysisServer:
             return (
                 500,
                 self._envelope(wrapped, request_id),
-                headers,
+                [],
                 route_label,
             )
 
@@ -1246,7 +1223,6 @@ def serve(
     cache: Optional[ResultCache] = None,
     verbose: bool = False,
     backlog: int = DEFAULT_BACKLOG,
-    parallel_sccs: Optional[int] = None,
 ) -> AnalysisServer:
     """Build a ready-to-run server (the CLI calls ``serve_forever`` on it).
 
@@ -1256,12 +1232,7 @@ def serve(
     """
     sock = socket.create_server((host, port))
     try:
-        pool = WorkerPool(
-            workers=workers,
-            timeout=timeout,
-            cache=cache,
-            parallel_sccs=parallel_sccs,
-        )
+        pool = WorkerPool(workers=workers, timeout=timeout, cache=cache)
     except BaseException:
         sock.close()
         raise

@@ -1,41 +1,38 @@
-"""DAG-parallel determinism: parallel SCC scheduling is bit-identical to serial.
+"""Determinism: results never depend on the hash seed or on warm state.
 
-The scheduler's contract (see :mod:`repro.core.parallel`) is that the worker
-count is *not* an analysis parameter: verdicts, bounds and rendered tables of
-any program must be byte-for-byte the ones a serial run produces, at any
-worker count, including through the incremental splice path.  This suite pins
-that on the committed corpora:
+No verdict, bound or summary text may depend on hash order: set iteration
+order changes with ``PYTHONHASHSEED``, and ordering terms by it once made
+payloads differ between processes.  The hash-seed test analyses every fast
+benchmark row and every parseable minimized fuzz reproducer in
+``tests/regression/fuzz`` (programs selected adversarially, not for
+tidiness) cold in two child interpreters started concurrently with
+``PYTHONHASHSEED=0`` and ``=1``, and requires the two result documents to be
+equal, ``summaries`` included.
 
-* the benchmark suites (``table1`` / ``fig3`` / ``table2``), compared as the
-  exact task payloads the engine caches and as the rendered report tables;
-* every minimized fuzz reproducer in ``tests/regression/fuzz`` — programs
-  selected adversarially, not for tidiness;
-* a repeated run through :class:`~repro.core.incremental.IncrementalAnalyzer`
-  with parallel workers, where cached components splice mid-schedule.
-
-Worker counts 2 and 8 bracket the interesting regimes (fewer ready components
-than workers, and more).  Payload ``summaries`` texts are excluded from the
-comparison: like two serial runs of different request histories, parallel
-runs may number fresh auxiliary symbols differently, which is exactly why no
-verdict, bound or table may ever depend on the numbering.
+The splice test replays the corpus through
+:class:`~repro.core.incremental.IncrementalAnalyzer` and requires every
+verdict and bound to match a cold run.  Summary texts are excluded there:
+spliced summaries keep the fresh auxiliary symbols of the run that first
+computed them, and no verdict, bound or table may depend on that numbering.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import pytest
-
 from repro.core import ChoraOptions
-from repro.core import parallel as par
 from repro.core.incremental import IncrementalAnalyzer
-from repro.engine import AnalysisTask
-from repro.engine.batch import BatchResult
+from repro.engine import AnalysisTask, suite_tasks
 from repro.engine.tasks import execute_task, set_program_analyzer
-from repro.benchlib.suites import iter_suite
-from repro.reporting.tables import render_table1, render_table2
+
+SOURCE_ROOT = Path(__file__).resolve().parents[2] / "src"
+
 
 def _parseable(path: Path) -> bool:
-    """Reproducers pinned at parse time (e.g. the arity mismatch) never
-    reach the scheduler — there is nothing to parallelise."""
+    """Reproducers pinned at parse time (e.g. the arity mismatch) have no
+    analysis to compare."""
     from repro.lang import parse_program
     from repro.lang.parser import ParseError
 
@@ -54,26 +51,56 @@ FUZZ_CORPUS = [
     if _parseable(path)
 ]
 
-WORKER_COUNTS = (2, 8)
+#: Run by each child interpreter: analyse every fast suite row and every
+#: corpus program (paths in argv) cold, then print one sorted-key document.
+_CHILD = """
+import json, sys
+from pathlib import Path
+from repro.engine import AnalysisTask, execute_task, suite_tasks
+from repro.polyhedra.cache import clear_caches
 
-needs_fork = pytest.mark.skipif(
-    not par.fork_available(), reason="os.fork not available"
-)
+tasks = [(f"{task.suite}/{task.name}", task) for task in suite_tasks("all", full=False)]
+for path in map(Path, sys.argv[1:]):
+    task = AnalysisTask(name=path.stem, source=path.read_text(), kind="analyze")
+    tasks.append((f"fuzz/{path.stem}", task))
+document = {}
+for key, task in tasks:
+    clear_caches(force=True)
+    document[key] = execute_task(task)
+print(json.dumps(document, sort_keys=True))
+"""
 
-pytestmark = needs_fork
+#: Seconds each child may take; one pass takes well under a minute.
+CHILD_TIMEOUT = 600
 
 
-@pytest.fixture
-def scc_workers(monkeypatch):
-    """Run the body under a pinned worker count, restoring serial after."""
-    monkeypatch.delenv(par.PARALLEL_SCCS_ENV, raising=False)
-    previous = par.set_parallel_sccs(None)
-
-    def pin(workers):
-        par.set_parallel_sccs(workers)
-
-    yield pin
-    par.set_parallel_sccs(previous)
+def _documents_under_hash_seeds(*seeds: int) -> list[dict]:
+    children = []
+    try:
+        for seed in seeds:
+            env = dict(
+                os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SOURCE_ROOT)
+            )
+            children.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _CHILD, *map(str, FUZZ_CORPUS)],
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        documents = []
+        for seed, child in zip(seeds, children):
+            out, err = child.communicate(timeout=CHILD_TIMEOUT)
+            assert child.returncode == 0, f"PYTHONHASHSEED={seed} child failed:\n{err}"
+            documents.append(json.loads(out))
+        return documents
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=30)
 
 
 def _comparable(payload: dict) -> dict:
@@ -81,97 +108,36 @@ def _comparable(payload: dict) -> dict:
     return {key: value for key, value in payload.items() if key != "summaries"}
 
 
-def _run(task: AnalysisTask, workers: int | None, pin) -> dict:
-    pin(workers if workers is not None else 0)
-    try:
-        return execute_task(task, ChoraOptions())
-    finally:
-        pin(0)
+def _corpus_task(path: Path) -> AnalysisTask:
+    return AnalysisTask(name=path.stem, source=path.read_text(), kind="analyze")
 
 
-def _suite_results(suite: str, workers, pin, full: bool = False):
-    results = []
-    for entry in iter_suite(suite, full):
-        task = AnalysisTask.from_entry(entry, suite=suite)
-        payload = _run(task, workers, pin)
-        results.append(
-            BatchResult(
-                name=task.name,
-                kind=task.kind,
-                outcome="ok",
-                wall_time=0.0,
-                suite=suite,
-                proved=payload.get("proved"),
-                bound=payload.get("bound"),
-                payload=payload,
-            )
-        )
-    return results
-
-
-class TestFuzzCorpusDeterminism:
-    @pytest.mark.parametrize(
-        "path", FUZZ_CORPUS, ids=[path.stem for path in FUZZ_CORPUS]
-    )
-    def test_corpus_program_payloads_match_serial(self, path, scc_workers):
-        task = AnalysisTask(name=path.stem, source=path.read_text(), kind="analyze")
-        serial = _run(task, None, scc_workers)
-        for workers in WORKER_COUNTS:
-            parallel = _run(task, workers, scc_workers)
-            assert _comparable(parallel) == _comparable(serial), (
-                f"{path.stem} diverged at {workers} workers"
-            )
-            # Summary *keys* (names and their order) must still match even
-            # though the formula texts may number symbols differently.
-            assert list(parallel.get("summaries", {})) == list(
-                serial.get("summaries", {})
-            )
-
-
-class TestSuiteDeterminism:
-    def test_table2_payloads_and_rendered_table(self, scc_workers):
-        serial = _suite_results("table2", None, scc_workers)
-        serial_table = render_table2(serial)
-        for workers in WORKER_COUNTS:
-            results = _suite_results("table2", workers, scc_workers)
-            assert [r.payload for r in results] == [r.payload for r in serial]
-            assert render_table2(results) == serial_table
-
-    @pytest.mark.slow
-    def test_table1_and_fig3_sweep(self, scc_workers):
-        """The full fast-tier suite sweep at worker counts 1 / 2 / 8."""
-        for suite, render in (("table1", render_table1), ("fig3", None)):
-            serial = _suite_results(suite, None, scc_workers)
-            for workers in (1,) + WORKER_COUNTS:
-                results = _suite_results(suite, workers, scc_workers)
-                assert [r.payload for r in results] == [
-                    r.payload for r in serial
-                ], f"{suite} diverged at {workers} workers"
-                if render is not None:
-                    assert render(results) == render(serial)
+class TestHashSeedDeterminism:
+    def test_payloads_match_across_hash_seeds(self):
+        first, second = _documents_under_hash_seeds(0, 1)
+        expected = {f"fuzz/{path.stem}" for path in FUZZ_CORPUS}
+        for task in suite_tasks("all", full=False):
+            expected.add(f"{task.suite}/{task.name}")
+        assert first.keys() == second.keys() == expected
+        for key in first:
+            assert first[key] == second[key], f"{key} differs between hash seeds"
 
 
 class TestIncrementalSpliceDeterminism:
-    def test_corpus_through_parallel_incremental_analyzer(self, scc_workers):
-        """A warm store must splice mid-schedule without changing verdicts:
-        second runs answer every component from cache, first runs fork."""
-        serial_payloads = {}
-        for path in FUZZ_CORPUS:
-            task = AnalysisTask(
-                name=path.stem, source=path.read_text(), kind="analyze"
-            )
-            serial_payloads[path.stem] = _comparable(_run(task, None, scc_workers))
-
-        analyzer = IncrementalAnalyzer(parallel_sccs=2)
+    def test_corpus_through_incremental_analyzer(self):
+        """A warm store must splice without changing verdicts: second runs
+        answer every component from the store."""
+        cold = {
+            path.stem: _comparable(execute_task(_corpus_task(path), ChoraOptions()))
+            for path in FUZZ_CORPUS
+        }
+        analyzer = IncrementalAnalyzer()
         previous = set_program_analyzer(analyzer.analyze)
         try:
             for repeat in range(2):
                 for path in FUZZ_CORPUS:
-                    task = AnalysisTask(
-                        name=path.stem, source=path.read_text(), kind="analyze"
-                    )
-                    payload = execute_task(task, ChoraOptions())
-                    assert _comparable(payload) == serial_payloads[path.stem], (
+                    payload = execute_task(_corpus_task(path), ChoraOptions())
+                    assert _comparable(payload) == cold[path.stem], (
                         f"{path.stem} diverged on incremental run {repeat}"
                     )
                 # Second pass over an unchanged program: nothing re-analysed.

@@ -45,7 +45,6 @@ class _StubPool:
 
     workers = 1
     cache = None
-    parallel_sccs = None
 
     def stats_dict(self):
         return {}

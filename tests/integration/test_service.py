@@ -296,7 +296,7 @@ class TestAnalysisServer:
             else json.dumps(document).encode("utf-8")
         )
         request = urllib.request.Request(
-            f"http://{host}:{port}/analyze",
+            f"http://{host}:{port}/v1/analyze",
             data=data,
             headers={"Content-Type": content_type},
         )
@@ -324,7 +324,7 @@ class TestAnalysisServer:
         elapsed = time.perf_counter() - started
         assert record["outcome"] == "ok"
         assert elapsed < 1.0  # cold analysis of CHAIN takes far longer
-        stats = self._get(server, "/stats")
+        stats = self._get(server, "/v1/stats")
         assert stats["pool"]["procedures_reused"] >= 3
 
     def test_plain_text_body_is_program_source(self, server):
@@ -332,13 +332,13 @@ class TestAnalysisServer:
         assert record["outcome"] == "ok"
 
     def test_healthz(self, server):
-        assert self._get(server, "/healthz") == {"status": "ok", "workers": 1}
+        assert self._get(server, "/v1/healthz") == {"status": "ok", "workers": 1}
 
     def test_bad_requests_get_400(self, server):
         host, port = server.address
         for body in (b"{not json", b"{}", b'{"source": 3}', b'["list"]'):
             request = urllib.request.Request(
-                f"http://{host}:{port}/analyze",
+                f"http://{host}:{port}/v1/analyze",
                 data=body,
                 headers={"Content-Type": "application/json"},
             )
@@ -352,7 +352,7 @@ class TestAnalysisServer:
         host, port = server.address
         for substitutions in ({"n": 2.7}, {"n": True}, {"n": None}):
             request = urllib.request.Request(
-                f"http://{host}:{port}/analyze",
+                f"http://{host}:{port}/v1/analyze",
                 data=json.dumps(
                     {"source": TRIVIAL, "substitutions": substitutions}
                 ).encode("utf-8"),
@@ -380,7 +380,7 @@ class TestAnalysisServer:
         server.pool.close()
         host, port = server.address
         request = urllib.request.Request(
-            f"http://{host}:{port}/analyze",
+            f"http://{host}:{port}/v1/analyze",
             data=json.dumps({"source": TRIVIAL}).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
@@ -407,7 +407,7 @@ class TestBatchRoute:
     def _post_batch(self, server, document):
         host, port = server.address
         request = urllib.request.Request(
-            f"http://{host}:{port}/batch",
+            f"http://{host}:{port}/v1/batch",
             data=json.dumps(document).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
@@ -487,7 +487,7 @@ class TestBatchRoute:
         ]
         for body in bodies:
             request = urllib.request.Request(
-                f"http://{host}:{port}/batch",
+                f"http://{host}:{port}/v1/batch",
                 data=json.dumps(body).encode("utf-8"),
                 headers={"Content-Type": "application/json"},
             )
@@ -529,16 +529,14 @@ class TestV1Api:
             assert response.headers.get("Deprecation") is None
             assert response.headers.get("X-Request-Id")
 
-    def test_legacy_aliases_answer_with_deprecation_and_successor(self, server):
+    def test_unversioned_paths_are_not_found(self, server):
         host, port = server.address
-        for name in ("healthz", "stats", "metrics"):
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/{name}", timeout=30
-            ) as response:
-                assert response.status == 200, name
-                assert response.headers["Deprecation"] == "true"
-                assert f"/v1/{name}" in response.headers["Link"]
-                assert "successor-version" in response.headers["Link"]
+        for name in ("healthz", "stats", "analyze"):
+            with pytest.raises(urllib.error.HTTPError) as error:
+                urllib.request.urlopen(f"http://{host}:{port}/{name}", timeout=30)
+            assert error.value.code == 404, name
+            envelope = json.load(error.value)
+            assert envelope["error"]["code"] == "not_found", name
 
     def test_error_envelope_shape(self, server):
         host, port = server.address
@@ -593,9 +591,11 @@ class TestV1Api:
 
     def test_client_prefers_v1(self, server):
         with ServiceClient(self._url(server)) as client:
-            response = client.healthz()
-            assert response.document["status"] == "ok"
-            assert not response.deprecated
+            with pytest.raises(ServiceHTTPError) as error:
+                client.request("GET", "nope")
+            assert error.value.code == "not_found"
+            # One attempt under /v1: no second, unversioned request.
+            assert client.metrics().document["responses"]["4xx"] == 1
 
     def test_batch_via_client_matches_direct_post(self, server):
         tasks = [{"name": "toy", "source": TRIVIAL, "kind": "assertion"}]
@@ -977,7 +977,7 @@ class TestServiceRestart:
     def _stats(self, server):
         host, port = server.address
         with urllib.request.urlopen(
-            f"http://{host}:{port}/stats", timeout=30
+            f"http://{host}:{port}/v1/stats", timeout=30
         ) as response:
             return json.loads(response.read())
 
@@ -991,7 +991,7 @@ class TestServiceRestart:
         server = AnalysisServer(WorkerPool(workers=1, cache=cache), port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        record = self._request(server, "/analyze", {"source": CHAIN, "kind": "assertion"})
+        record = self._request(server, "/v1/analyze", {"source": CHAIN, "kind": "assertion"})
         assert record["outcome"] == "ok"
         assert self._stats(server)["pool"]["procedures_reused"] == 0
         server.shutdown()
@@ -1005,7 +1005,7 @@ class TestServiceRestart:
             # Same program, different kind: misses the result cache, so the
             # restarted worker runs — and splices everything it restored.
             record = self._request(
-                server, "/analyze", {"source": CHAIN, "kind": "analyze"}
+                server, "/v1/analyze", {"source": CHAIN, "kind": "analyze"}
             )
             assert record["outcome"] == "ok"
             stats = self._stats(server)["pool"]

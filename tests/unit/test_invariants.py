@@ -50,26 +50,26 @@ class TestKnobIsolation:
     def test_key_function_referencing_a_knob_is_flagged(self, checker, seeded_tree):
         (seeded_tree / "bad.py").write_text(
             "def cache_key(task):\n"
-            "    from .core import set_parallel_sccs\n"
-            "    return set_parallel_sccs()\n"
+            "    from .engine.tasks import lint_gate_enabled\n"
+            "    return lint_gate_enabled()\n"
         )
         problems = checker.check_knob_isolation(seeded_tree)
         assert len(problems) == 1
-        assert "set_parallel_sccs" in problems[0]
+        assert "lint_gate_enabled" in problems[0]
 
     def test_key_module_referencing_a_knob_is_flagged(self, checker, seeded_tree):
         cache = seeded_tree / "engine"
         cache.mkdir()
         (cache / "cache.py").write_text(
-            "from ..polyhedra.simplex import simplex_kernel\n"
+            "from .tasks import LINT_GATE_ENV\n"
         )
         problems = checker.check_knob_isolation(seeded_tree)
         assert len(problems) == 1
-        assert "simplex_kernel" in problems[0]
+        assert "LINT_GATE_ENV" in problems[0]
 
     def test_options_dataclass_with_knob_field_is_flagged(self, checker, seeded_tree):
         (seeded_tree / "opts.py").write_text(
-            "class FooOptions:\n    parallel_sccs: int = 0\n"
+            "class FooOptions:\n    lint_gate_enabled: bool = False\n"
         )
         problems = checker.check_knob_isolation(seeded_tree)
         assert len(problems) == 1
@@ -79,8 +79,8 @@ class TestKnobIsolation:
         (seeded_tree / "ok.py").write_text(
             "def cache_key(task):\n    return hash(task)\n"
             "def run(options):\n"
-            "    from .core import set_parallel_sccs\n"
-            "    return set_parallel_sccs()\n"
+            "    from .engine.tasks import lint_gate_enabled\n"
+            "    return lint_gate_enabled()\n"
         )
         assert checker.check_knob_isolation(seeded_tree) == []
 

@@ -119,12 +119,9 @@ class TestEnvelopeDecoding:
             ServiceClient._decode(b"<html>gateway</html>", 502)
 
     def test_response_properties(self):
-        response = Response(
-            200, {"ok": True}, {"X-Request-Id": "r1", "Deprecation": "true"}, 0.01
-        )
+        response = Response(200, {"ok": True}, {"X-Request-Id": "r1"}, 0.01)
         assert response.request_id == "r1"
-        assert response.deprecated
-        assert not Response(200, {}, {}, 0.0).deprecated
+        assert Response(200, {}, {}, 0.0).request_id == ""
 
 
 class _StubClient:

@@ -11,22 +11,11 @@ representation, so any divergence is a bug in one of the solvers.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.formulas.symbols import Symbol
 from repro.polyhedra.constraint import ConstraintKind, LinearConstraint
-from repro.polyhedra import simplex
-from repro.polyhedra.simplex import (
-    exact_entails,
-    exact_is_satisfiable,
-    exact_maximize,
-    int64_available,
-    kernel_stats,
-    reset_kernel_stats,
-    set_simplex_kernel,
-    simplex_kernel,
-)
+from repro.polyhedra.simplex import exact_entails, exact_is_satisfiable, exact_maximize
 
 # --------------------------------------------------------------------- #
 # The oracle: the pre-rewrite dense Fraction tableau (two-phase simplex,
@@ -197,10 +186,24 @@ fractions = st.builds(
 )
 
 
+#: Numerators around ±2^63, mixed with small rationals, so the bignum
+#: tableau is checked at magnitudes beyond any fixed-width integer.
+_near_int64 = st.one_of(
+    st.integers(-(2**63) - 4, -(2**63 - 4)),
+    st.integers(2**63 - 4, 2**63 + 4),
+    st.integers(-(2**61), 2**61),
+)
+
+extreme_fractions = st.one_of(
+    fractions,
+    st.builds(Fraction, _near_int64, st.integers(1, 3)),
+)
+
+
 @st.composite
-def linear_constraints(draw):
+def linear_constraints(draw, values=fractions):
     coeffs = {
-        symbol: draw(fractions)
+        symbol: draw(values)
         for symbol in draw(
             st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3, unique=True)
         )
@@ -208,14 +211,14 @@ def linear_constraints(draw):
     kind = draw(
         st.sampled_from([ConstraintKind.LE, ConstraintKind.LE, ConstraintKind.EQ])
     )
-    return LinearConstraint.make(coeffs, draw(fractions), kind)
+    return LinearConstraint.make(coeffs, draw(values), kind)
 
 
 @st.composite
-def lp_problems(draw):
-    constraints = draw(st.lists(linear_constraints(), min_size=1, max_size=6))
+def lp_problems(draw, values=fractions):
+    constraints = draw(st.lists(linear_constraints(values), min_size=1, max_size=6))
     objective = {
-        symbol: draw(fractions)
+        symbol: draw(values)
         for symbol in draw(
             st.lists(st.sampled_from(SYMBOLS), min_size=0, max_size=3, unique=True)
         )
@@ -225,7 +228,7 @@ def lp_problems(draw):
 
 class TestIntegerTableauMatchesFractionOracle:
     @settings(max_examples=200, deadline=None)
-    @given(lp_problems())
+    @given(st.one_of(lp_problems(), lp_problems(extreme_fractions)))
     def test_maximize_round_trip(self, problem):
         objective, constraints = problem
         expected_status, expected_value = reference_maximize(objective, constraints)
@@ -275,211 +278,3 @@ class TestIntegerTableauMatchesFractionOracle:
         )
         assert exact_entails(constraints, upper)
         assert not exact_entails(constraints, tighter)
-
-
-# --------------------------------------------------------------------- #
-# int64 fast path vs bignum path.  Both run the same pivot sequence; the
-# only difference is the cell representation, so every status and value
-# must agree exactly — including on coefficients scaled to straddle the
-# int64 range, where the overflow guard must hand the LP to bignum.
-# --------------------------------------------------------------------- #
-#: Numerators around ±2^63: after common-denominator scaling these land on
-#: both sides of the kernel's safety bound, so Hypothesis explores the
-#: accept / construction-fallback / pivot-fallback frontier.
-_near_int64 = st.one_of(
-    st.integers(-(2**63) - 4, -(2**63 - 4)),
-    st.integers(2**63 - 4, 2**63 + 4),
-    st.integers(-(2**61), 2**61),
-)
-
-#: Small rationals mixed with near-boundary ones: small cells make the
-#: int64 path actually run, huge cells make the guard actually fire.
-extreme_fractions = st.one_of(
-    fractions,
-    st.builds(Fraction, _near_int64, st.integers(1, 3)),
-)
-
-
-@st.composite
-def extreme_constraints(draw):
-    coeffs = {
-        symbol: draw(extreme_fractions)
-        for symbol in draw(
-            st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3, unique=True)
-        )
-    }
-    kind = draw(
-        st.sampled_from([ConstraintKind.LE, ConstraintKind.LE, ConstraintKind.EQ])
-    )
-    return LinearConstraint.make(coeffs, draw(extreme_fractions), kind)
-
-
-@st.composite
-def extreme_lp_problems(draw):
-    constraints = draw(st.lists(extreme_constraints(), min_size=1, max_size=6))
-    objective = {
-        symbol: draw(extreme_fractions)
-        for symbol in draw(
-            st.lists(st.sampled_from(SYMBOLS), min_size=0, max_size=3, unique=True)
-        )
-    }
-    return objective, constraints
-
-
-@pytest.fixture
-def kernel_mode():
-    """Pin, then restore, the process-wide kernel selection."""
-    previous = simplex_kernel()
-    yield set_simplex_kernel
-    set_simplex_kernel(previous)
-
-
-def _under_kernel(mode, function):
-    previous = set_simplex_kernel(mode)
-    try:
-        return function()
-    finally:
-        set_simplex_kernel(previous)
-
-
-needs_int64 = pytest.mark.skipif(
-    not int64_available(), reason="numpy-backed int64 kernel not available"
-)
-
-
-@needs_int64
-class TestInt64KernelMatchesBignum:
-    @settings(max_examples=200, deadline=None)
-    @given(extreme_lp_problems())
-    def test_maximize_agrees(self, problem):
-        objective, constraints = problem
-        expected = _under_kernel("bignum", lambda: exact_maximize(objective, constraints))
-        result = _under_kernel("int64", lambda: exact_maximize(objective, constraints))
-        assert result.status == expected.status
-        assert result.value == expected.value
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(extreme_constraints(), min_size=1, max_size=6))
-    def test_satisfiability_agrees(self, constraints):
-        expected = _under_kernel("bignum", lambda: exact_is_satisfiable(constraints))
-        assert _under_kernel("int64", lambda: exact_is_satisfiable(constraints)) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(extreme_constraints(), min_size=1, max_size=5), extreme_constraints()
-    )
-    def test_entailment_agrees(self, constraints, candidate):
-        expected = _under_kernel("bignum", lambda: exact_entails(constraints, candidate))
-        assert _under_kernel("int64", lambda: exact_entails(constraints, candidate)) == expected
-
-    @settings(max_examples=150, deadline=None)
-    @given(lp_problems())
-    def test_small_lps_agree_with_fraction_oracle_under_int64(self, problem):
-        """Close the triangle: int64 must also match the Fraction oracle."""
-        objective, constraints = problem
-        expected_status, expected_value = reference_maximize(objective, constraints)
-        result = _under_kernel("int64", lambda: exact_maximize(objective, constraints))
-        assert result.status == expected_status
-        if expected_status == "optimal":
-            assert result.value == expected_value
-
-
-@needs_int64
-class TestOverflowFallback:
-    #: Feasible, bounded chain LP with modest coefficients — solvable by
-    #: either kernel, so the fallback's answer can be pinned exactly.
-    def _chain_problem(self):
-        xs = SYMBOLS[:3]
-        constraints = []
-        for a, b in zip(xs, xs[1:]):
-            constraints.append(LinearConstraint.make({a: 1, b: -1}))
-            constraints.append(LinearConstraint.make({b: 1, a: -1}, -3))
-        for x in xs:
-            constraints.append(LinearConstraint.make({x: 1}, -9))
-            constraints.append(LinearConstraint.make({x: -1}, 0))
-        objective = {x: Fraction(1) for x in xs}
-        return objective, constraints
-
-    def test_construction_overflow_falls_back(self, kernel_mode):
-        """Coefficients beyond the bound never enter the int64 matrix."""
-        kernel_mode("int64")
-        objective, constraints = self._chain_problem()
-        # A redundant row (x, y <= 9 already imply it) whose entries are
-        # coprime, so even its gcd-primitive form exceeds the int64 bound.
-        x, y = SYMBOLS[:2]
-        constraints.append(
-            LinearConstraint.make({x: 2**62 + 1, y: -(2**62)}, -(2**66))
-        )
-        assert max(abs(c) for _, c in constraints[-1].coeffs) >= 2**62
-        reset_kernel_stats()
-        result = exact_maximize(objective, constraints)
-        stats = kernel_stats()
-        assert stats["fallbacks"] >= 1
-        assert stats["bignum"] >= 1
-        assert stats["int64"] == 0
-        expected = _under_kernel(
-            "bignum", lambda: exact_maximize(objective, constraints)
-        )
-        assert (result.status, result.value) == (expected.status, expected.value)
-
-    def test_pivot_overflow_detector_fires(self, kernel_mode, monkeypatch):
-        """With the safety bound squeezed, mid-pivot growth must be caught
-        and the whole tableau restarted on the bignum path — same answer."""
-        kernel_mode("int64")
-        objective, constraints = self._chain_problem()
-        expected = _under_kernel(
-            "bignum", lambda: exact_maximize(objective, constraints)
-        )
-        # Small enough that pivot products trip it, large enough that the
-        # starting cells (<= 9) pass construction.
-        monkeypatch.setattr(simplex, "_INT64_SAFE", 12)
-        reset_kernel_stats()
-        result = exact_maximize(objective, constraints)
-        stats = kernel_stats()
-        assert stats["fallbacks"] >= 1
-        assert stats["int64"] == 0
-        assert (result.status, result.value) == (expected.status, expected.value)
-
-    def test_forced_int64_succeeds_without_fallback_on_small_cells(self, kernel_mode):
-        kernel_mode("int64")
-        objective, constraints = self._chain_problem()
-        reset_kernel_stats()
-        expected = _under_kernel(
-            "bignum", lambda: exact_maximize(objective, constraints)
-        )
-        result = exact_maximize(objective, constraints)
-        stats = kernel_stats()
-        assert stats["int64"] >= 1
-        assert stats["fallbacks"] == 0
-        assert (result.status, result.value) == (expected.status, expected.value)
-
-
-class TestKernelSelection:
-    def test_set_kernel_returns_previous_and_validates(self, kernel_mode):
-        previous = simplex_kernel()
-        assert set_simplex_kernel("bignum") == previous
-        assert simplex_kernel() == "bignum"
-        with pytest.raises(ValueError):
-            set_simplex_kernel("float128")
-        assert simplex_kernel() == "bignum"
-
-    def test_bignum_mode_never_touches_numpy(self, kernel_mode):
-        kernel_mode("bignum")
-        reset_kernel_stats()
-        objective = {SYMBOLS[0]: Fraction(1)}
-        constraints = [LinearConstraint.make({SYMBOLS[0]: 1}, -5)]
-        exact_maximize(objective, constraints)
-        stats = kernel_stats()
-        assert stats["int64"] == 0
-        assert stats["bignum"] >= 1
-
-    @needs_int64
-    def test_auto_mode_routes_small_tableaus_to_bignum(self, kernel_mode):
-        """Below the cell floor the vectorisation overhead is a loss, so
-        ``auto`` keeps tiny LPs on the plain path."""
-        kernel_mode("auto")
-        reset_kernel_stats()
-        objective = {SYMBOLS[0]: Fraction(1)}
-        constraints = [LinearConstraint.make({SYMBOLS[0]: 1}, -5)]
-        exact_maximize(objective, constraints)
-        assert kernel_stats()["int64"] == 0

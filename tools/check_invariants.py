@@ -4,18 +4,17 @@
 A Python-AST lint over ``src/repro`` for four invariants no unit test can
 pin down once and for all, because new call sites keep appearing:
 
-* **Tuning knobs stay out of cache keys.**  The process-local performance
-  knobs — the DAG-parallel SCC worker count (``set_parallel_sccs``) and the
-  simplex pivot-kernel selector (``set_simplex_kernel``) — are engineered
-  to be invisible to analysis results, so they must never flow into
-  fingerprint or cache/memo-key construction: a key that varied with them
-  would split one logical result across entries and silently defeat the
-  bit-identity contract the determinism tests pin.  Every function whose
-  name marks it as key material (``fingerprint``, ``cache_key``,
-  ``cache_material``, ...) is checked for references to the knob APIs, the
-  key-building modules are checked wholesale, and the ``*Options``
-  dataclasses (whose ``to_dict`` feeds the result-cache key) must not grow
-  a knob-named field.
+* **Process-wide knobs stay out of cache keys.**  The lint gate
+  (``LINT_GATE_ENV`` / ``lint_gate_enabled`` in ``engine/tasks.py``) is
+  the one process-wide knob: it reaches forked and spawned workers
+  through the environment and leaves lint-clean results bit-identical, so
+  it must never flow into fingerprint or cache/memo-key construction: a
+  key that varied with it would split one logical result across entries.
+  Every function whose name marks it as key material (``fingerprint``,
+  ``cache_key``, ``cache_material``, ...) is checked for references to
+  the knob, the key-building modules are checked wholesale, and the
+  ``*Options`` dataclasses (whose ``to_dict`` feeds the result-cache key)
+  must not grow a field named after it.
 * **Unpickler allowlists enumerate concrete classes.**  Every
   ``RestrictedUnpickler``/``restricted_loads`` call site must take its
   ``allowed`` vocabulary from a literal set of ``("module", "qualname")``
@@ -51,20 +50,9 @@ from typing import Iterator, Optional
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 
-#: Identifiers belonging to the process-local tuning knobs.  Referencing
-#: any of these from key-construction code is a finding.
-KNOB_IDENTIFIERS = frozenset(
-    {
-        "parallel_sccs",
-        "set_parallel_sccs",
-        "simplex_kernel",
-        "set_simplex_kernel",
-        "_kernel_mode",
-        "kernel_stats",
-        "reset_kernel_stats",
-        "int64_available",
-    }
-)
+#: Identifiers of the process-wide lint gate.  Referencing any of these
+#: from key-construction code is a finding.
+KNOB_IDENTIFIERS = frozenset({"LINT_GATE_ENV", "lint_gate_enabled"})
 
 #: Function names that mark a definition as key material.
 KEY_FUNCTION_NAMES = frozenset(
@@ -137,7 +125,7 @@ def check_knob_isolation(root: Path = SOURCE_ROOT) -> list[str]:
         if module_is_key:
             for identifier in set(_identifiers(tree)) & KNOB_IDENTIFIERS:
                 problems.append(
-                    f"{relative}: key-building module references tuning knob"
+                    f"{relative}: key-building module references process-wide knob"
                     f" `{identifier}` — knobs must not flow into cache keys"
                 )
             continue
@@ -147,7 +135,7 @@ def check_knob_isolation(root: Path = SOURCE_ROOT) -> list[str]:
                 continue
             for identifier in set(_identifiers(function)) & KNOB_IDENTIFIERS:
                 problems.append(
-                    f"{relative}: key function `{qualified}` references tuning"
+                    f"{relative}: key function `{qualified}` references process-wide"
                     f" knob `{identifier}` — knobs must not flow into cache keys"
                 )
         for node in ast.walk(tree):
