@@ -2,12 +2,13 @@
 
 No verdict, bound or summary text may depend on hash order: set iteration
 order changes with ``PYTHONHASHSEED``, and ordering terms by it once made
-payloads differ between processes.  The hash-seed test analyses every fast
-benchmark row and every parseable minimized fuzz reproducer in
-``tests/regression/fuzz`` (programs selected adversarially, not for
-tidiness) cold in two child interpreters started concurrently with
-``PYTHONHASHSEED=0`` and ``=1``, and requires the two result documents to be
-equal, ``summaries`` included.
+payloads differ between processes.  Once per module, every fast benchmark
+row and every parseable minimized fuzz reproducer in ``tests/regression/fuzz``
+(programs selected adversarially, not for tidiness) is analysed cold in two
+child interpreters started concurrently with ``PYTHONHASHSEED=0`` and
+``=1``.  The fuzz-corpus and suite tests require each program's payload to be
+equal under both seeds, ``summaries`` included; the suite tests also compare
+the rendered report tables.
 
 The splice test replays the corpus through
 :class:`~repro.core.incremental.IncrementalAnalyzer` and requires every
@@ -22,10 +23,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.core import ChoraOptions
 from repro.core.incremental import IncrementalAnalyzer
 from repro.engine import AnalysisTask, suite_tasks
+from repro.engine.batch import BatchResult
 from repro.engine.tasks import execute_task, set_program_analyzer
+from repro.reporting.tables import render_table1, render_table2
 
 SOURCE_ROOT = Path(__file__).resolve().parents[2] / "src"
 
@@ -112,15 +117,64 @@ def _corpus_task(path: Path) -> AnalysisTask:
     return AnalysisTask(name=path.stem, source=path.read_text(), kind="analyze")
 
 
-class TestHashSeedDeterminism:
-    def test_payloads_match_across_hash_seeds(self):
-        first, second = _documents_under_hash_seeds(0, 1)
-        expected = {f"fuzz/{path.stem}" for path in FUZZ_CORPUS}
-        for task in suite_tasks("all", full=False):
-            expected.add(f"{task.suite}/{task.name}")
-        assert first.keys() == second.keys() == expected
-        for key in first:
-            assert first[key] == second[key], f"{key} differs between hash seeds"
+@pytest.fixture(scope="module")
+def hash_seed_documents() -> list[dict]:
+    """The result documents of the ``PYTHONHASHSEED=0`` and ``=1`` children."""
+    return _documents_under_hash_seeds(0, 1)
+
+
+def _suite_results(document: dict, suite: str) -> list[BatchResult]:
+    """One suite's rows of a child document, in suite order."""
+    results = []
+    for task in suite_tasks(suite, full=False):
+        payload = document[f"{suite}/{task.name}"]
+        results.append(
+            BatchResult(
+                name=task.name,
+                kind=task.kind,
+                outcome="ok",
+                wall_time=0.0,
+                suite=suite,
+                proved=payload.get("proved"),
+                bound=payload.get("bound"),
+                payload=payload,
+            )
+        )
+    return results
+
+
+class TestFuzzCorpusDeterminism:
+    @pytest.mark.parametrize(
+        "path", FUZZ_CORPUS, ids=[path.stem for path in FUZZ_CORPUS]
+    )
+    def test_corpus_program_payloads_match_serial(self, path, hash_seed_documents):
+        """The one serial walk gives each reproducer the same payload,
+        summaries included, under either hash seed."""
+        first, second = (
+            document[f"fuzz/{path.stem}"] for document in hash_seed_documents
+        )
+        assert first == second, f"{path.stem} differs between hash seeds"
+
+
+class TestSuiteDeterminism:
+    def test_table2_payloads_and_rendered_table(self, hash_seed_documents):
+        first, second = (
+            _suite_results(document, "table2") for document in hash_seed_documents
+        )
+        assert [r.payload for r in first] == [r.payload for r in second]
+        assert render_table2(first) == render_table2(second)
+
+    def test_table1_and_fig3_sweep(self, hash_seed_documents):
+        """Every fast Table-1 and Figure-3 row under both hash seeds."""
+        for suite, render in (("table1", render_table1), ("fig3", None)):
+            first, second = (
+                _suite_results(document, suite) for document in hash_seed_documents
+            )
+            assert [r.payload for r in first] == [r.payload for r in second], (
+                f"{suite} differs between hash seeds"
+            )
+            if render is not None:
+                assert render(first) == render(second)
 
 
 class TestIncrementalSpliceDeterminism:
