@@ -164,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--full",
         action="store_true",
-        help="include the slow rows (minutes each; default honours REPRO_FULL_BENCH)",
+        help="include the 16 slow rows (closest_pair alone takes about a minute; "
+        "default honours REPRO_FULL_BENCH)",
     )
     bench.add_argument(
         "--tool",

@@ -68,8 +68,9 @@ DEFAULT_COMPONENT_CAPACITY = 2048
 #: Entry name of the persisted component store inside its storage namespace.
 STORE_NAME = "incremental-summaries"
 
-#: Bump on incompatible changes to the pickled store layout.
-STORE_SCHEMA = 2
+#: Bump on incompatible changes to the pickled store layout.  Schema 3:
+#: symbols and monomials pickle as their constructor arguments only.
+STORE_SCHEMA = 3
 
 #: The class vocabulary a persisted component store may reference.  Component
 #: records are procedure summaries and height analyses: formula trees over

@@ -27,8 +27,8 @@ __all__ = [
 DEFAULT_SERVICE_PORT = 8734
 
 #: Set to ``1`` to include the slowest benchmarks (strassen, qsort_steps,
-#: closest_pair, ackermann, the full Fig.-3 sweep), which take minutes each
-#: in this pure-Python reproduction.
+#: closest_pair, ackermann, the full Fig.-3 sweep).  Cold, closest_pair
+#: takes 60-70 s and each of the others 0.2-5 s (2-vCPU x86 container).
 FULL_BENCH_ENV = "REPRO_FULL_BENCH"
 
 #: Overrides where the on-disk result cache lives.

@@ -260,7 +260,7 @@ def engine_comparison_entry(
 
 
 # ---------------------------------------------------------------------- #
-# Micro-benchmarks: the polyhedral hot path in isolation
+# Micro-benchmarks: the polyhedral and formula hot paths in isolation
 # ---------------------------------------------------------------------- #
 def _micro_symbols(count: int):
     from ..formulas.symbols import Symbol
@@ -341,6 +341,35 @@ def _micro_dnf_product() -> None:
         to_dnf(formula)
 
 
+def _micro_compose_chain() -> None:
+    """Compose a dozen assignments and guards over four variables.
+
+    Every composition renames both operands onto fresh mid-state symbols,
+    so this is the rename path of ``PathSummary`` in isolation.  Looped so
+    the row sits well above the gate's noise floor; the fresh-symbol counter
+    is restored afterwards so the row shifts no later symbol numbering.
+    """
+    from ..formulas.formula import atom_le
+    from ..formulas.polynomial import Polynomial
+    from ..formulas.symbols import pre, preserved_fresh_counter
+    from ..formulas.transition import TransitionFormula
+
+    names = ("a", "b", "c", "d")
+    steps = []
+    for i in range(12):
+        target = Polynomial.var(pre(names[i % 4]))
+        source = Polynomial.var(pre(names[(i + 1) % 4]))
+        if i % 3 == 2:
+            steps.append(TransitionFormula.assume(atom_le(target - source - i)))
+        else:
+            steps.append(TransitionFormula.assign(names[i % 4], target + 2 * source - i))
+    with preserved_fresh_counter():
+        for _ in range(4):
+            chain = steps[0]
+            for step in steps[1:]:
+                chain = chain.compose(step)
+
+
 def _micro_exact_infeasible() -> None:
     """Exact satisfiability of an equality-heavy infeasible system."""
     from ..polyhedra import LinearConstraint, lp
@@ -369,6 +398,7 @@ MICRO_BENCHMARKS: dict[str, Callable[[], None]] = {
     "hull_ladder": _micro_hull_ladder,
     "minimize_redundant": _micro_minimize_redundant,
     "dnf_product": _micro_dnf_product,
+    "compose_chain": _micro_compose_chain,
     "exact_infeasible": _micro_exact_infeasible,
 }
 

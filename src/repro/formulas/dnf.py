@@ -27,7 +27,6 @@ from .formula import (
     Or,
     TrueFormula,
 )
-from .polynomial import Polynomial
 from .symbols import Symbol, fresh
 
 __all__ = ["Cube", "to_dnf", "DEFAULT_CUBE_LIMIT", "DnfLimitExceeded"]
@@ -69,17 +68,17 @@ class Cube:
 
     def alpha_renamed(self, collisions: frozenset[Symbol]) -> "Cube":
         """Rename the given *bound* symbols of this cube to fresh ones."""
-        mapping: dict[Symbol, Polynomial] = {}
+        mapping: dict[Symbol, Symbol] = {}
         renamed_bound = set(self.bound)
         for symbol in collisions & self.bound:
             replacement = fresh(symbol.name)
-            mapping[symbol] = Polynomial.var(replacement)
+            mapping[symbol] = replacement
             renamed_bound.discard(symbol)
             renamed_bound.add(replacement)
         if not mapping:
             return self
         atoms = tuple(
-            Atom(atom.polynomial.substitute(mapping), atom.kind)
+            Atom(atom.polynomial.rename(mapping), atom.kind)
             if atom.polynomial.symbols & mapping.keys()
             else atom
             for atom in self.atoms

@@ -318,26 +318,37 @@ def substitute(formula: Formula, mapping: Mapping[Symbol, Polynomial]) -> Formul
     untouched (callers use globally fresh symbols for quantifiers, so capture
     does not arise in practice, but we guard against it defensively).
     """
+    return _rewrite_free(formula, mapping, Polynomial.substitute)
+
+
+def rename(formula: Formula, mapping: Mapping[Symbol, Symbol]) -> Formula:
+    """Rename free symbols according to ``mapping``; like :func:`substitute`,
+    never rewrites a symbol an ``Exists`` binds."""
+    return _rewrite_free(formula, mapping, Polynomial.rename)
+
+
+def _rewrite_free(
+    formula: Formula,
+    mapping: Mapping[Symbol, object],
+    rewrite: Callable[[Polynomial, Mapping], Polynomial],
+) -> Formula:
+    """Apply ``rewrite(polynomial, mapping)`` to every atom, leaving bound
+    symbols alone: an ``Exists`` drops its own symbols from ``mapping``."""
     if not mapping:
         return formula
     if isinstance(formula, (TrueFormula, FalseFormula)):
         return formula
     if isinstance(formula, Atom):
-        return _normalize_atom(formula.polynomial.substitute(mapping), formula.kind)
+        return _normalize_atom(rewrite(formula.polynomial, mapping), formula.kind)
     if isinstance(formula, And):
-        return conjoin([substitute(c, mapping) for c in formula.children])
+        return conjoin([_rewrite_free(c, mapping, rewrite) for c in formula.children])
     if isinstance(formula, Or):
-        return disjoin([substitute(c, mapping) for c in formula.children])
+        return disjoin([_rewrite_free(c, mapping, rewrite) for c in formula.children])
     if isinstance(formula, Exists):
         bound = set(formula.symbols)
         inner = {s: p for s, p in mapping.items() if s not in bound}
-        return exists(formula.symbols, substitute(formula.body, inner))
+        return exists(formula.symbols, _rewrite_free(formula.body, inner, rewrite))
     raise TypeError(f"unknown formula node {formula!r}")
-
-
-def rename(formula: Formula, mapping: Mapping[Symbol, Symbol]) -> Formula:
-    """Rename free symbols according to ``mapping``."""
-    return substitute(formula, {s: Polynomial.var(t) for s, t in mapping.items()})
 
 
 def formula_size(formula: Formula) -> int:

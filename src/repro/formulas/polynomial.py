@@ -10,11 +10,15 @@ Representation
 A :class:`Monomial` is a product of symbol powers (the empty monomial is the
 constant ``1``).  A :class:`Polynomial` is a finite map from monomials to
 non-zero :class:`fractions.Fraction` coefficients.  All operations are exact.
+
+Renaming symbols (:meth:`Polynomial.rename`) only remaps monomials: no
+coefficient arithmetic beyond merging terms that collide.  Monomials, like
+symbols, compute their hash once at construction and never pickle it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -25,7 +29,7 @@ __all__ = ["Monomial", "Polynomial", "Coefficient", "as_polynomial"]
 Coefficient = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A product of symbol powers, e.g. ``x^2 * y``.
 
@@ -34,6 +38,18 @@ class Monomial:
     """
 
     powers: tuple[tuple[Symbol, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The value the generated dataclass hash would return, paid once.
+        object.__setattr__(self, "_hash", hash((self.powers,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # As for Symbol: never pickle a hash computed under this process's seed.
+        return (Monomial, (self.powers,))
 
     @staticmethod
     def unit() -> "Monomial":
@@ -51,11 +67,9 @@ class Monomial:
 
     @staticmethod
     def from_mapping(mapping: Mapping[Symbol, int]) -> "Monomial":
-        items = tuple(sorted((s, p) for s, p in mapping.items() if p > 0))
-        for _, power in items:
-            if power < 0:
-                raise ValueError("monomial powers must be non-negative")
-        return Monomial(items)
+        if any(p < 0 for p in mapping.values()):
+            raise ValueError("monomial powers must be non-negative")
+        return Monomial(tuple(sorted((s, p) for s, p in mapping.items() if p > 0)))
 
     @property
     def is_unit(self) -> bool:
@@ -115,6 +129,17 @@ class Polynomial:
                     if cleaned[mono] == 0:
                         del cleaned[mono]
         self._terms: dict[Monomial, Fraction] = cleaned
+
+    @staticmethod
+    def _adopt(terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap ``terms`` without cleaning it; the polynomial takes ownership.
+
+        For arithmetic that already holds non-zero ``Fraction`` coefficients;
+        everything else goes through the cleaning constructor.
+        """
+        poly = object.__new__(Polynomial)
+        poly._terms = terms
+        return poly
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -200,8 +225,8 @@ class Polynomial:
         other = as_polynomial(other)
         merged = dict(self._terms)
         for mono, coeff in other._terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return Polynomial(merged)
+            _merge_term(merged, mono, coeff)
+        return Polynomial._adopt(merged)
 
     def __radd__(self, other: Coefficient) -> "Polynomial":
         return self.__add__(other)
@@ -213,7 +238,7 @@ class Polynomial:
         return as_polynomial(other) - self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._adopt({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "Polynomial | Coefficient") -> "Polynomial":
         other = as_polynomial(other)
@@ -221,8 +246,11 @@ class Polynomial:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = m1 * m2
-                result[mono] = result.get(mono, Fraction(0)) + c1 * c2
-        return Polynomial(result)
+                previous = result.get(mono)
+                result[mono] = c1 * c2 if previous is None else previous + c1 * c2
+        # Zero sums drop only at the end: a monomial that cancels and then
+        # recurs keeps its first position.
+        return Polynomial._adopt({m: c for m, c in result.items() if c})
 
     def __rmul__(self, other: Coefficient) -> "Polynomial":
         return self.__mul__(other)
@@ -263,8 +291,26 @@ class Polynomial:
         return result
 
     def rename(self, mapping: Mapping[Symbol, Symbol]) -> "Polynomial":
-        """Rename symbols according to ``mapping``."""
-        return self.substitute({s: Polynomial.var(t) for s, t in mapping.items()})
+        """Simultaneously rename symbols according to ``mapping``.
+
+        Each monomial's powers are remapped; symbols sent to one target add
+        their powers.  Monomials that collide add their coefficients, in the
+        term order a sum of renamed single terms would give (see
+        :func:`_merge_term`), which fresh-symbol minting downstream follows.
+        """
+        if not mapping:
+            return self
+        terms: dict[Monomial, Fraction] = {}
+        for mono, coeff in self._terms.items():
+            powers = mono.powers
+            if any(s in mapping for s, _ in powers):
+                merged: dict[Symbol, int] = {}
+                for s, p in powers:
+                    target = mapping.get(s, s)
+                    merged[target] = merged.get(target, 0) + p
+                mono = Monomial(tuple(sorted(merged.items())))
+            _merge_term(terms, mono, coeff)
+        return Polynomial._adopt(terms)
 
     def evaluate(self, assignment: Mapping[Symbol, Coefficient]) -> Fraction:
         """Evaluate the polynomial at a total assignment of its symbols."""
@@ -331,6 +377,23 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self!s})"
+
+
+def _merge_term(terms: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+    """Add ``coeff * mono`` into ``terms`` in place, deleting a sum of zero.
+
+    The deletion is immediate, so a monomial that cancels and recurs later
+    moves to the end: the order ``p + t1 + t2 + ...`` gives term by term.
+    """
+    previous = terms.get(mono)
+    if previous is None:
+        terms[mono] = coeff
+    else:
+        total = previous + coeff
+        if total:
+            terms[mono] = total
+        else:
+            del terms[mono]
 
 
 def as_polynomial(value: "Polynomial | Symbol | Coefficient") -> Polynomial:

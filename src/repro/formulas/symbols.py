@@ -2,7 +2,8 @@
 
 The paper works with *transition formulas* over a set ``Var`` of program
 variables and a primed copy ``Var'`` (§3, "Relational semantics").  In this
-implementation a :class:`Symbol` is an immutable, interned name that may be
+implementation a :class:`Symbol` is an immutable value object (symbols with
+the same name, priming and index are equal; nothing interns them) that may be
 
 * an **unprimed** program variable (pre-state value),
 * a **primed** program variable (post-state value), or
@@ -14,12 +15,18 @@ implementation a :class:`Symbol` is an immutable, interned name that may be
 Fresh symbols carry a numeric index so that repeated composition never
 captures variables.  The module-level counter can be reset in tests for
 reproducible symbol names.
+
+Symbols are dictionary keys everywhere (polynomial terms, constraint rows,
+memo keys), so each one computes its hash once, at construction.  The cached
+hash is never pickled: a ``str`` hash holds only under the ``PYTHONHASHSEED``
+of the process that computed it, and symbols travel through pickles to other
+processes (the memo snapshot, the incremental store, the batch result pipe).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -43,7 +50,7 @@ __all__ = [
 RETURN_VARIABLE = "return"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Symbol:
     """An immutable symbol.
 
@@ -60,6 +67,19 @@ class Symbol:
     name: str
     is_primed: bool = False
     index: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The value the generated dataclass hash would return, paid once.
+        object.__setattr__(self, "_hash", hash((self.name, self.is_primed, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor so the unpickling process hashes
+        # under its own seed.
+        return (Symbol, (self.name, self.is_primed, self.index))
 
     def __str__(self) -> str:
         suffix = "'" if self.is_primed else ""

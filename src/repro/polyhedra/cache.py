@@ -199,7 +199,9 @@ SNAPSHOT_NAME = "polyhedra-memo"
 
 #: Bump on incompatible changes to the pickled snapshot layout.  Schema 2:
 #: constraints are gcd-primitive integer rows, so no entry holds a Fraction.
-SNAPSHOT_SCHEMA = 2
+#: Schema 3: symbols pickle as their constructor arguments only (their
+#: cached hash is valid under one ``PYTHONHASHSEED``).
+SNAPSHOT_SCHEMA = 3
 
 #: The closed vocabulary a memo snapshot may contain.  Result-cache
 #: directories are shareable between machines, so a snapshot must be treated

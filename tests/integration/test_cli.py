@@ -230,6 +230,7 @@ class TestProfileCommand:
         assert len(data["entries"]) == 1
         assert {row["name"] for row in data["entries"][0]["rows"]} >= {
             "projection_chain", "hull_ladder", "minimize_redundant",
+            "compose_chain",
         }
         # A second run with --check compares against the first entry; the
         # same code cannot regress against itself beyond the huge threshold.

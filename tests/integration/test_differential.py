@@ -47,9 +47,10 @@ def row_params(suite: str):
     for entry in get_suite(suite).entries:
         marks = []
         if entry.slow:
-            # Slow rows take minutes each: they carry the repository's slow
-            # marker and — like every other consumer of these rows (the
-            # bench harness, `repro bench`) — only run in full-bench mode.
+            # Slow rows (cold: closest_pair 60-70 s, each other 0.2-5 s)
+            # carry the repository's slow marker and — like every other
+            # consumer of these rows (the bench harness, `repro bench`) —
+            # only run in full-bench mode.
             marks = [
                 pytest.mark.slow,
                 pytest.mark.skipif(

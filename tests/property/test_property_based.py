@@ -9,9 +9,24 @@ closed forms, and the loop-free part of the transition-formula algebra.
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.formulas import Monomial, Polynomial, sym
+from repro.formulas import (
+    And,
+    Atom,
+    Exists,
+    Monomial,
+    Or,
+    Polynomial,
+    atom_eq,
+    atom_le,
+    atom_lt,
+    conjoin,
+    disjoin,
+    rename,
+    substitute,
+    sym,
+)
 from repro.polyhedra import LinearConstraint, Polyhedron, convex_hull_pair
 from repro.recurrence import ExpPoly, geometric_convolution, solve_first_order
 
@@ -59,6 +74,128 @@ class TestPolynomialProperties:
             assert (p * q).is_zero
         else:
             assert (p * q).degree == p.degree + q.degree
+
+
+# Reference arithmetic: the term-by-term loops that ``+``, ``*`` and
+# ``rename`` replaced, building every result through the public cleaning
+# constructor.  The fast paths must agree with them in value and in term
+# order (fresh ``dim_*`` symbols are minted in term order downstream).
+def _reference_add(p, q):
+    merged = dict(p.items())
+    for mono, coeff in q.items():
+        merged[mono] = merged.get(mono, Fraction(0)) + coeff
+    return Polynomial(merged)
+
+
+def _reference_neg(p):
+    return Polynomial({mono: -coeff for mono, coeff in p.items()})
+
+
+def _reference_mul(p, q):
+    result = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = m1 * m2
+            result[mono] = result.get(mono, Fraction(0)) + c1 * c2
+    return Polynomial(result)
+
+
+def _reference_rename(p, mapping):
+    """``sum(constant(c) * var(t) ** power ...)``, one renamed term at a time."""
+    result = Polynomial.zero()
+    for mono, coeff in p.items():
+        term = Polynomial.constant(coeff)
+        for symbol, power in mono.powers:
+            image = Polynomial.var(mapping.get(symbol, symbol))
+            for _ in range(power):
+                term = _reference_mul(term, image)
+        result = _reference_add(result, term)
+    return result
+
+
+W = sym("w")
+X, Y, Z = SYMBOLS
+
+#: Renames onto the drawn symbols plus one symbol no polynomial mentions;
+#: two keys often share a target.
+renamings = st.dictionaries(st.sampled_from(SYMBOLS), st.sampled_from(SYMBOLS + [W]))
+
+
+def _same_terms(actual, expected):
+    assert actual == expected
+    assert list(actual.items()) == list(expected.items())
+
+
+class TestArithmeticMatchesReference:
+    @given(polynomials(), polynomials())
+    @settings(max_examples=100, deadline=None)
+    def test_addition_and_subtraction(self, p, q):
+        _same_terms(p + q, _reference_add(p, q))
+        _same_terms(-q, _reference_neg(q))
+        _same_terms(p - q, _reference_add(p, _reference_neg(q)))
+        _same_terms(p - p, Polynomial.zero())
+
+    @given(polynomials(), polynomials())
+    @settings(max_examples=100, deadline=None)
+    def test_multiplication(self, p, q):
+        _same_terms(p * q, _reference_mul(p, q))
+
+    @given(polynomials(), renamings)
+    @settings(max_examples=200, deadline=None)
+    # x + z - y + w after {x, y -> w}: the w from x cancels against the w
+    # from y, and the original w comes back after z.
+    @example(
+        p=Polynomial(
+            {Monomial.of(X): 1, Monomial.of(Z): 1, Monomial.of(Y): -1, Monomial.of(W): 1}
+        ),
+        mapping={X: W, Y: W},
+    )
+    # x - y + 3 after {x -> y}: the two renamed terms cancel outright.
+    @example(p=Polynomial.var(X) - Polynomial.var(Y) + 3, mapping={X: Y})
+    # x*y after {x -> y}: two symbols onto one target add their powers.
+    @example(p=Polynomial.var(X) * Polynomial.var(Y), mapping={X: Y})
+    # x - y after {x -> y, y -> x}: a swap is simultaneous, nothing cancels.
+    @example(p=Polynomial.var(X) - Polynomial.var(Y), mapping={X: Y, Y: X})
+    def test_rename(self, p, mapping):
+        _same_terms(p.rename(mapping), _reference_rename(p, mapping))
+
+
+#: One to two distinct symbols an ``Exists`` binds (renamings may map them).
+binders = st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=2, unique=True)
+
+
+@st.composite
+def formulas(draw, depth=2):
+    """Random And/Or/Exists trees over atoms of :func:`polynomials`."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        make = draw(st.sampled_from([atom_le, atom_lt, atom_eq]))
+        return make(draw(polynomials()))
+    children = draw(st.lists(formulas(depth - 1), min_size=1, max_size=3))
+    combine = draw(st.sampled_from([conjoin, disjoin, None]))
+    if combine is None:
+        return Exists(tuple(draw(binders)), conjoin(children))
+    return combine(children)
+
+
+def _term_orders(formula):
+    if isinstance(formula, Atom):
+        return [list(formula.polynomial.items())]
+    if isinstance(formula, (And, Or)):
+        return [terms for child in formula.children for terms in _term_orders(child)]
+    if isinstance(formula, Exists):
+        return _term_orders(formula.body)
+    return []
+
+
+class TestFormulaRename:
+    @given(binders, formulas(), renamings)
+    @settings(max_examples=100, deadline=None)
+    def test_rename_equals_substituting_variables(self, bound, body, mapping):
+        formula = Exists(tuple(bound), body)
+        renamed = rename(formula, mapping)
+        expected = substitute(formula, {s: Polynomial.var(t) for s, t in mapping.items()})
+        assert renamed == expected
+        assert _term_orders(renamed) == _term_orders(expected)
 
 
 def _boxes(draw_lo, draw_hi):

@@ -8,7 +8,12 @@ merging is additive, and the namespace is disjoint from the result cache's
 own entries.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,8 @@ from repro.polyhedra import LinearConstraint, eliminate
 from repro.polyhedra import cache as memo
 
 X, Y, Z = sym("x"), sym("y"), sym("z")
+
+SOURCE_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +154,87 @@ class TestSnapshotRoundTrip:
             assert memo.load_snapshot(storage, fingerprint="fp") == 0
             assert memo.snapshot_stats(storage, fingerprint="fp")["entries"] == 0
         assert len(table) == 0
+
+
+#: Shared by both children below: the system and the values they exchange.
+_CHILD_PRELUDE = """
+import json, pickle, sys
+from pathlib import Path
+from repro.engine.storage import DirectoryStorage
+from repro.formulas import Monomial, Polynomial, sym
+from repro.polyhedra import LinearConstraint, eliminate
+from repro.polyhedra import cache as memo
+
+X, Y, Z = sym("x"), sym("y"), sym("z")
+SYSTEM = [
+    LinearConstraint.make({X: 1, Y: -1}),
+    LinearConstraint.make({Y: 1, Z: -1}),
+    LinearConstraint.make({Z: 1}, -9),
+    LinearConstraint.make({X: -1}),
+]
+XY = Monomial.of(X) * Monomial.of(Y)
+POLY = Polynomial({XY: 2, Monomial.of(Z): -1, Monomial.unit(): 5})
+directory = Path(sys.argv[1])
+storage = DirectoryStorage(directory / "memo")
+"""
+
+#: Under one hash seed: fill the memo with one projection, save it, and
+#: pickle symbols, a monomial-keyed dict and a polynomial beside it.
+_WRITER = _CHILD_PRELUDE + """
+eliminate(SYSTEM, [Y])
+assert memo.save_snapshot(storage, fingerprint="fp") > 0
+values = {"symbols": frozenset({X, Y, Z}), "by_monomial": {XY: "xy"}, "polynomial": POLY}
+(directory / "values.pickle").write_bytes(pickle.dumps(values))
+"""
+
+#: Under another hash seed: load both and look them up with fresh values.
+_READER = _CHILD_PRELUDE + """
+assert memo.load_snapshot(storage, fingerprint="fp") > 0
+values = pickle.loads((directory / "values.pickle").read_bytes())
+fresh_xy = Monomial.of(sym("x")) * Monomial.of(sym("y"))
+fresh_poly = Polynomial({fresh_xy: 2, Monomial.of(sym("z")): -1, Monomial.unit(): 5})
+table = memo.register_cache("fm.eliminate")
+hits = table.hits
+eliminate(SYSTEM, [Y])
+print(json.dumps({
+    "symbol_in_set": sym("y") in values["symbols"],
+    "monomial_key": values["by_monomial"].get(fresh_xy) == "xy",
+    "polynomial_equal": values["polynomial"] == fresh_poly,
+    "polynomial_hash": hash(values["polynomial"]) == hash(fresh_poly),
+    "memo_hit": table.hits == hits + 1,
+}))
+"""
+
+#: Seconds each child may take; each finishes in a few seconds.
+CHILD_TIMEOUT = 120
+
+
+def _run_child(script: str, hash_seed: int, directory: Path) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(SOURCE_ROOT))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(directory)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=CHILD_TIMEOUT,
+    )
+    assert done.returncode == 0, f"PYTHONHASHSEED={hash_seed} child failed:\n{done.stderr}"
+    return done.stdout
+
+
+class TestHashSeedPortability:
+    def test_pickled_symbols_rehash_under_another_seed(self, tmp_path):
+        """Symbols and monomials cache their hash, which is valid under one
+        ``PYTHONHASHSEED`` only; pickles must carry values, never hashes."""
+        _run_child(_WRITER, 0, tmp_path)
+        checks = json.loads(_run_child(_READER, 1, tmp_path))
+        assert checks == {
+            "symbol_in_set": True,
+            "monomial_key": True,
+            "polynomial_equal": True,
+            "polynomial_hash": True,
+            "memo_hit": True,
+        }
 
 
 class TestAbsorb:

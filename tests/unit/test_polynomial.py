@@ -30,6 +30,12 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial.of(X, -1)
 
+    def test_from_mapping_rejects_negative_powers(self):
+        for powers in ({X: -1}, {X: 2, Y: -1}):
+            with pytest.raises(ValueError):
+                Monomial.from_mapping(powers)
+        assert Monomial.from_mapping({X: 0, Y: 1}) == Monomial.of(Y)
+
     def test_multiplication_merges_powers(self):
         m = Monomial.of(X) * Monomial.of(X, 2) * Monomial.of(Y)
         assert m.power_of(X) == 3
