@@ -25,7 +25,8 @@ def test_table2_chora(benchmark, name):
     benchmark.extra_info["proved"] = verdict
     benchmark.extra_info["paper"] = dict(suite_entry("table2", name).paper["verdicts"])
     # The unbounded-recursion benchmarks cannot be proved by unrolling alone;
-    # whether this reproduction proves them is recorded in EXPERIMENTS.md.
+    # whether this reproduction proves them is pinned by the Table 2 golden
+    # (tests/integration/golden/table2.txt).
     assert verdict in (True, False)
 
 

@@ -7,14 +7,13 @@
     repro bench --suite table1|fig3|table2|all [--tool chora|icra|unrolling]
                 [--depth N] [--jobs N] [--full] [--json]
                 [--engine pool|warm] [--shard I/N] [--memo-snapshot]
-                [--distribute HOST:PORT,...] [--deadline-ms MS] [--retry-429 N]
-                [--cache-url URL] [--lint]
+                [--lint]
     repro lint FILE ... [--severity error|warning|info] [--disable CODES]
                [--json]
     repro batch --url URL (--suite NAME | --tasks FILE) [--deadline-ms MS]
                 [--retry-429 N] [--json]
     repro serve [--host H] [--port P] [--workers N] [--timeout S]
-                [--backlog N] [--cache-url URL]
+                [--backlog N]
     repro loadtest --url URL [--rps N] [--duration S] [--concurrency N]
                    [--deadline-ms MS] [--json]
     repro profile [--suite NAME|all] [--micro] [--engines] [--check]
@@ -22,7 +21,7 @@
     repro fuzz [--seed S] [--count N] [--runs R] [--size K] [--minimize]
                [--out DIR] [--no-baselines] [--jobs N] [--timeout S] [--json]
     repro suites
-    repro cache stats|clear [--cache-dir DIR | --cache-url URL]
+    repro cache stats|clear [--cache-dir DIR]
 
 ``analyze`` runs the full CHORA pipeline on one mini-language file and prints
 the procedure summaries, assertion verdicts and (when a procedure is named)
@@ -34,13 +33,7 @@ baselines, ``--engine warm`` serves the batch from long-lived warm workers
 instead of one process per task, ``--shard i/n`` runs one deterministic
 slice of the suite and merges the other shards' results from the shared
 result cache, and ``--memo-snapshot`` (default on with a cache) lets cold
-forks warm-start from the persisted polyhedral memo snapshot.
-``--distribute host:port,...`` turns bench into a coordinator: the same
-deterministic shard partition, but each shard is sent to a running ``repro
-serve`` over ``POST /v1/batch`` and failed shards are retried on surviving
-hosts; ``--cache-url`` (here, on ``serve`` and on ``cache``) swaps the
-local cache directory for the cache plane of a running service, so many
-machines share one result cache and memo snapshot.  ``serve``
+forks warm-start from the persisted polyhedral memo snapshot.  ``serve``
 starts the warm analysis service: an asyncio HTTP endpoint (versioned
 under ``/v1``, with keep-alive, bounded admission, per-request deadlines
 and a ``/v1/metrics`` SLO document) whose ``POST /v1/analyze`` accepts
@@ -194,32 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the i-th of n deterministic suite slices and merge the"
         " other shards' results from the shared result cache",
-    )
-    bench.add_argument(
-        "--distribute",
-        metavar="HOST:PORT,...",
-        default=None,
-        help="coordinator mode: partition the suite with the shard hash and"
-        " fan one shard per listed repro serve instance over POST /v1/batch,"
-        " retrying failed shards on surviving hosts; records merge"
-        " bit-identically to a local run",
-    )
-    bench.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-shard server-side deadline under --distribute"
-        " (X-Repro-Deadline-Ms; the service answers 504 past it)",
-    )
-    bench.add_argument(
-        "--retry-429",
-        type=int,
-        default=2,
-        metavar="N",
-        help="under --distribute, how many times to retry a shard request"
-        " the service answered 429, honouring its Retry-After hint"
-        " (default: 2)",
     )
     _lint_gate_argument(bench)
     _engine_arguments(bench, jobs=True)
@@ -576,21 +543,11 @@ def _engine_arguments(
 
 
 def _cache_location_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--cache-dir`` / ``--cache-url``: one store location, two transports."""
-    where = parser.add_mutually_exclusive_group()
-    where.add_argument(
+    parser.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
         help="result cache location (default: REPRO_CACHE_DIR or ~/.cache/repro-chora)",
-    )
-    where.add_argument(
-        "--cache-url",
-        default=None,
-        metavar="URL",
-        help="use the cache plane of a running repro serve instead of a"
-        " local directory (shares results, the memo snapshot and the"
-        " incremental store across machines), e.g. http://127.0.0.1:8734",
     )
 
 
@@ -629,7 +586,6 @@ def _make_engine(arguments: argparse.Namespace) -> BatchEngine:
         cache=make_cache(
             no_cache=getattr(arguments, "no_cache", False),
             directory=arguments.cache_dir,
-            url=getattr(arguments, "cache_url", None),
         ),
         options=ChoraOptions(),
         memo_snapshot=getattr(arguments, "memo_snapshot", None),
@@ -714,20 +670,10 @@ def _command_bench(arguments: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
-    if arguments.distribute is not None:
-        if arguments.shard is not None:
-            print(
-                "repro: --distribute and --shard are mutually exclusive"
-                " (the coordinator computes the shard partition itself)",
-                file=sys.stderr,
-            )
-            return 2
-        return _bench_distribute(arguments, tasks, full)
     options = ChoraOptions()
     cache = make_cache(
         no_cache=getattr(arguments, "no_cache", False),
         directory=arguments.cache_dir,
-        url=getattr(arguments, "cache_url", None),
     )
 
     shard = None
@@ -812,58 +758,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
     # Exit 3 distinguishes "this shard succeeded but the merged suite is
     # still missing other shards' results" from a complete run, so a
     # driver coordinating N machines can poll on the exit status.
-    if totals["pending"]:
-        return 3
-    return 0
-
-
-def _bench_distribute(arguments: argparse.Namespace, tasks, full: bool) -> int:
-    """Coordinator mode: fan shards to remote serves and merge the records."""
-    from .service.coordinator import distribute_batch, parse_hosts
-
-    try:
-        hosts = parse_hosts(arguments.distribute)
-    except ValueError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-
-    def log(message: str) -> None:
-        print(f"repro bench: {message}", file=sys.stderr, flush=True)
-
-    results, reports = distribute_batch(
-        tasks,
-        hosts,
-        deadline_ms=arguments.deadline_ms,
-        retries_429=arguments.retry_429,
-        log=log,
-    )
-    totals = summarize_batch(results)
-    if arguments.json:
-        print(
-            json.dumps(
-                {
-                    "suite": arguments.suite,
-                    "tool": arguments.tool,
-                    "engine": "distribute",
-                    "distribute": hosts,
-                    "shards": reports,
-                    "full": full,
-                    "results": [result.to_dict() for result in results],
-                    "totals": totals,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        _print_batch_report(results, totals)
-        served = sum(1 for report in reports if report["ok"])
-        print(
-            f"{served}/{len(reports)} shards served across"
-            f" {len(hosts)} hosts"
-        )
-    if totals["error"] or totals["crash"]:
-        return 1
     if totals["pending"]:
         return 3
     return 0
@@ -1011,7 +905,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     cache = make_cache(
         no_cache=getattr(arguments, "no_cache", False),
         directory=arguments.cache_dir,
-        url=getattr(arguments, "cache_url", None),
     )
     try:
         # serve() binds the socket before forking the pool, so a busy port
@@ -1041,8 +934,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     print(
         f"repro serve: {arguments.workers} warm workers on http://{host}:{port}"
         f" (/v1: POST analyze, POST batch, GET healthz, GET stats, GET"
-        f" metrics, cache plane under /v1/cache;"
-        f" admits {server.capacity} requests; Ctrl-C stops)",
+        f" metrics; admits {server.capacity} requests; Ctrl-C stops)",
         flush=True,
     )
     # SIGTERM (what init systems and CI send) must take the same clean
@@ -1497,15 +1389,7 @@ def _command_suites(arguments: argparse.Namespace) -> int:
 
 
 def _command_cache(arguments: argparse.Namespace) -> int:
-    if arguments.cache_url is not None:
-        from .service.remote import RemoteStorage
-
-        cache = ResultCache(storage=RemoteStorage(arguments.cache_url))
-    else:
-        cache = ResultCache(arguments.cache_dir or default_cache_directory())
-    # Everything below goes through the CacheStorage protocol, so remote
-    # stores render the same report a directory does; a remote store that
-    # cannot be reached surfaces as one OSError, not a traceback.
+    cache = ResultCache(arguments.cache_dir or default_cache_directory())
     try:
         if arguments.action == "clear":
             removed = cache.clear()
@@ -1525,12 +1409,6 @@ def _command_cache(arguments: argparse.Namespace) -> int:
         print(f"{stats['entries']} entries, {stats['bytes']} bytes")
         for suite, count in stats["suites"].items():
             print(f"  {suite}: {count}")
-        namespaces = cache.storage.stats().get("namespaces") or {}
-        for name, info in sorted(namespaces.items()):
-            print(
-                f"namespace {name}: {info.get('entries', 0)} entries,"
-                f" {info.get('bytes', 0)} bytes"
-            )
         memo = cache.memo_snapshot_stats()
         if memo["present"]:
             print(

@@ -16,8 +16,10 @@ This module implements the upper-region analysis and returns the additional
 bounding functions it yields.  The driver attaches them to procedure
 summaries when the depth bound is *exact* (every root-to-leaf path has the
 same length, so the upper region is the whole tree and the upper-region
-initial condition is zero); this covers the paper's ``quad``, ``recHanoi``
-and functional-equivalence style proofs.
+initial condition is zero); this covers ``recHanoi``-style lower bounds and
+functional-equivalence style proofs.  It does not cover the paper's
+``quad``: that proof needs a return bound quadratic in the argument, which
+this reproduction does not derive, so ``quad`` stays unproved.
 """
 
 from __future__ import annotations

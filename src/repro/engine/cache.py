@@ -25,7 +25,7 @@ import functools
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .. import __version__
 from ..core import ChoraOptions
@@ -74,28 +74,16 @@ def cache_key(task: AnalysisTask, options: ChoraOptions) -> str:
 
 
 def make_cache(
-    no_cache: bool = False,
-    directory: Optional[Path | str] = None,
-    url: Optional[str] = None,
+    no_cache: bool = False, directory: Optional[Path | str] = None
 ) -> Optional["ResultCache"]:
     """The cache implied by CLI-style switches (shared by CLI and examples).
 
-    ``no_cache`` wins over everything; an explicitly requested ``url``
-    (``--cache-url``, a remote cache plane served by ``repro serve``) or
-    ``directory`` wins over the ``REPRO_NO_CACHE`` environment default;
-    otherwise caching is on at the default location unless the environment
-    disables it.
+    ``no_cache`` wins over everything; an explicitly requested ``directory``
+    wins over the ``REPRO_NO_CACHE`` environment default; otherwise caching
+    is on at the default location unless the environment disables it.
     """
     if no_cache:
         return None
-    if url is not None and directory is not None:
-        raise ValueError("pass either a cache directory or a cache URL, not both")
-    if url is not None:
-        # Imported lazily: the engine layer only depends on the service's
-        # HTTP client when a remote cache plane is actually requested.
-        from ..service.remote import RemoteStorage
-
-        return ResultCache(storage=RemoteStorage(url))
     if directory is not None:
         return ResultCache(directory)
     if not cache_enabled():
@@ -108,9 +96,8 @@ class ResultCache:
 
     ``ResultCache(directory)`` keeps the historical behaviour (one JSON file
     per entry in ``directory``); ``ResultCache(storage=backend)`` accepts
-    any :class:`~repro.engine.storage.CacheStorage`, which is how a shared
-    network directory, an in-memory test cache, or a future object store
-    plug in without the engine noticing.
+    any :class:`~repro.engine.storage.CacheStorage`, which is how tests
+    substitute an in-memory store without the engine noticing.
     """
 
     def __init__(
@@ -154,26 +141,6 @@ class ResultCache:
             return None
         payload = entry.get("payload")
         return payload if isinstance(payload, dict) else None
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        """The cached payloads among ``keys`` (misses omitted).
-
-        One :meth:`CacheStorage.read_many` round instead of a per-key
-        :meth:`get` loop, so batch consumers (the shard merge, the stats
-        breakdown) amortise a remote backend's per-request latency.
-        """
-        payloads: dict[str, dict[str, Any]] = {}
-        for key, data in self.storage.read_many(keys).items():
-            try:
-                entry = json.loads(data.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue
-            if not isinstance(entry, dict):
-                continue
-            payload = entry.get("payload")
-            if isinstance(payload, dict):
-                payloads[key] = payload
-        return payloads
 
     def put(
         self,
@@ -273,7 +240,10 @@ class ResultCache:
             return stats
         size = 0
         suites: dict[str, int] = {}
-        for data in self.storage.read_many(names).values():
+        for name in names:
+            data = self.storage.read(name)
+            if data is None:
+                continue
             size += len(data)
             try:
                 entry = json.loads(data.decode("utf-8"))

@@ -101,15 +101,11 @@ def merge_foreign_results(
 
     Each foreign task becomes either a cache-hit :class:`BatchResult`
     (bit-identical to what its owning shard computed) or a ``pending``
-    record naming the shard responsible for it.  All foreign keys are
-    fetched in one :meth:`ResultCache.get_many` round, so a remote shared
-    store pays its per-request latency once per merge, not once per task.
+    record naming the shard responsible for it.
     """
-    keys = [cache.key(task, options) for _, task in foreign]
-    payloads = cache.get_many(keys)
     merged: list[tuple[int, BatchResult]] = []
-    for (position, task), key in zip(foreign, keys):
-        payload = payloads.get(key)
+    for position, task in foreign:
+        payload = cache.get(cache.key(task, options))
         if payload is not None:
             merged.append(
                 (

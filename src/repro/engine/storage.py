@@ -7,7 +7,7 @@ under opaque string names — so that a backend can be a local directory, a
 directory on a network file system shared by N machines (which is how
 ``repro bench --shard i/n`` turns N hosts into one batch: the cache key is
 host-independent, so every shard reads the others' results from the shared
-store), an in-memory dict in tests, or an object store.
+store), or an in-memory dict in tests.
 
 Contract
 --------
@@ -27,9 +27,9 @@ from abc import ABC, abstractmethod
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
-__all__ = ["CacheStorage", "DirectoryStorage", "MemoryStorage", "PrefixStorage"]
+__all__ = ["CacheStorage", "DirectoryStorage", "MemoryStorage"]
 
 
 class CacheStorage(ABC):
@@ -60,92 +60,16 @@ class CacheStorage(ABC):
         data = self.read(name)
         return len(data) if data is not None else 0
 
-    def read_many(self, names: Iterable[str]) -> dict[str, bytes]:
-        """The present entries among ``names``, as a name→bytes mapping.
-
-        Absent or unreadable entries are simply omitted — the read contract
-        per name is the same as :meth:`read`'s.  The default loops over
-        :meth:`read`; backends with per-call latency (a remote store, an
-        object store) override or inherit a transport that amortises it
-        (the HTTP backend reuses one keep-alive connection).
-        """
-        found: dict[str, bytes] = {}
-        for name in names:
-            data = self.read(name)
-            if data is not None:
-                found[name] = data
-        return found
-
-    def write_many(self, entries: Mapping[str, bytes]) -> None:
-        """Store every ``name → data`` pair (each write atomic per entry)."""
-        for name, data in entries.items():
-            self.write(name, data)
-
-    def stats(self) -> dict[str, Any]:
-        """Entry/byte counters of this store, plus its namespaces' counters.
-
-        The uniform shape — ``{"location", "entries", "bytes",
-        "namespaces": {name: {"entries", "bytes"}}}`` — is what ``repro
-        cache stats`` and the service's ``GET /v1/cache/stats`` route
-        render, so it must not assume a filesystem.  Backends that cannot
-        enumerate their namespaces (the generic prefix view) report ``{}``.
-        """
-        entries = 0
-        size = 0
-        for name in self.names():
-            entries += 1
-            size += self.size_of(name)
-        return {
-            "location": self.location(),
-            "entries": entries,
-            "bytes": size,
-            "namespaces": self._namespace_stats(),
-        }
-
-    def _namespace_stats(self) -> dict[str, dict[str, int]]:
-        """Per-namespace counters for :meth:`stats` (empty when unknowable)."""
-        return {}
-
+    @abstractmethod
     def namespace(self, name: str) -> "CacheStorage":
         """A sub-store of this backend under its own key space.
 
-        Independent caches — analysis results and the polyhedral memo
-        snapshot — share one backend without key collisions by writing
-        through namespaces.  :class:`DirectoryStorage` maps a namespace to a
-        subdirectory and :class:`MemoryStorage` to a child store, keeping
-        namespaced entries out of the parent's :meth:`names`; the generic
-        fallback prefixes entry names (a prefixed entry does appear in a
-        backend's raw listing — override this method where that matters).
+        Independent caches — analysis results, the polyhedral memo snapshot
+        and the incremental summary store — share one backend without key
+        collisions by writing through namespaces.  A namespace's entries
+        must stay out of the parent's :meth:`names`, and repeated calls
+        with one name must address the same entries.
         """
-        return PrefixStorage(self, name)
-
-
-class PrefixStorage(CacheStorage):
-    """A namespace view over another backend (name-prefix based)."""
-
-    def __init__(self, inner: CacheStorage, prefix: str):
-        self.inner = inner
-        self.prefix = f"{prefix}::"
-
-    def read(self, name: str) -> Optional[bytes]:
-        return self.inner.read(self.prefix + name)
-
-    def write(self, name: str, data: bytes) -> None:
-        self.inner.write(self.prefix + name, data)
-
-    def delete(self, name: str) -> bool:
-        return self.inner.delete(self.prefix + name)
-
-    def names(self) -> Iterator[str]:
-        for name in self.inner.names():
-            if name.startswith(self.prefix):
-                yield name[len(self.prefix) :]
-
-    def location(self) -> str:
-        return f"{self.inner.location()}::{self.prefix.rstrip(':')}"
-
-    def size_of(self, name: str) -> int:
-        return self.inner.size_of(self.prefix + name)
 
 
 class DirectoryStorage(CacheStorage):
@@ -216,21 +140,6 @@ class DirectoryStorage(CacheStorage):
         # scans, and the entry names stay portable filenames.
         return DirectoryStorage(self.directory / name)
 
-    def _namespace_stats(self) -> dict[str, dict[str, int]]:
-        if not self.directory.is_dir():
-            return {}
-        counters: dict[str, dict[str, int]] = {}
-        for child in sorted(self.directory.iterdir()):
-            if not child.is_dir() or child.name.startswith("."):
-                continue
-            store = DirectoryStorage(child)
-            names = list(store.names())
-            counters[child.name] = {
-                "entries": len(names),
-                "bytes": sum(store.size_of(name) for name in names),
-            }
-        return counters
-
 
 class MemoryStorage(CacheStorage):
     """A process-local dict backend (tests, ephemeral service caches)."""
@@ -262,12 +171,3 @@ class MemoryStorage(CacheStorage):
         if store is None:
             store = self._namespaces[name] = MemoryStorage()
         return store
-
-    def _namespace_stats(self) -> dict[str, dict[str, int]]:
-        return {
-            name: {
-                "entries": len(store._entries),
-                "bytes": sum(len(data) for data in store._entries.values()),
-            }
-            for name, store in sorted(self._namespaces.items())
-        }

@@ -37,9 +37,7 @@ from .client import (
     ServiceHTTPError,
     ServiceUnreachable,
 )
-from .coordinator import distribute_batch, parse_hosts
 from .pool import PoolStats, WorkerPool
-from .remote import RemoteStorage
 from .server import AnalysisServer, ServiceMetrics, run_batch, serve
 
 __all__ = [
@@ -52,9 +50,6 @@ __all__ = [
     "ServiceHTTPError",
     "ServiceUnreachable",
     "MalformedResponse",
-    "RemoteStorage",
-    "distribute_batch",
-    "parse_hosts",
     "run_batch",
     "serve",
 ]

@@ -250,8 +250,7 @@ class ServiceClient:
         retried (after honouring the service's ``Retry-After`` hint, with a
         capped exponential fallback when the hint is missing) before the
         error is raised.  The default keeps the historical fail-fast
-        behaviour; ``repro batch --retry-429`` and the ``--distribute``
-        coordinator opt in.
+        behaviour; ``repro batch --retry-429`` opts in.
         """
         rejections = 0
         while True:
@@ -289,36 +288,6 @@ class ServiceClient:
         if status >= 300:
             self._raise_http_error(status, decoded, response_headers)
         return Response(status, decoded, response_headers, time.monotonic() - started)
-
-    def request_bytes(
-        self, method: str, route: str, body: Optional[bytes] = None
-    ) -> Response:
-        """Call one ``/v1`` route moving opaque bytes instead of JSON.
-
-        The cache-plane routes (``/v1/cache/...``) transport whole cache
-        entries verbatim: the request body (when given) is sent as
-        ``application/octet-stream`` and a 2xx response body comes back as
-        raw ``bytes`` in :attr:`Response.document`.  Non-2xx answers are
-        still the service's JSON error envelope and raise the same typed
-        errors as :meth:`request`.
-        """
-        headers: dict[str, str] = {"Connection": "keep-alive"}
-        if body is not None:
-            headers["Content-Type"] = "application/octet-stream"
-        path = f"{self.prefix}/v1/{route.lstrip('/')}"
-        started = time.monotonic()
-        status, payload, response_headers = self._round_trip(
-            method, path, body, headers
-        )
-        if status >= 300:
-            try:
-                decoded = self._decode(payload, status)
-            except MalformedResponse:
-                decoded = None
-            self._raise_http_error(status, decoded, response_headers)
-        return Response(
-            status, payload, response_headers, time.monotonic() - started
-        )
 
     # ------------------------------------------------------------------ #
     # Routes

@@ -70,27 +70,6 @@ The routes themselves are unchanged in substance:
     restarts) plus the result-cache stats when a cache is attached.
 ``GET /v1/metrics``
     The SLO document described above.
-
-One route family is new in substance — the **cache plane**.  When the
-service has a cache attached, it serves that store's entries over HTTP so
-:class:`~repro.service.remote.RemoteStorage` backends on other machines can
-share it:
-
-``GET/PUT/DELETE /v1/cache/{namespace}/{name}``
-    One entry, moved verbatim as ``application/octet-stream``.  The
-    ``results`` namespace is the result cache itself; ``memo`` and
-    ``incremental`` hold the polyhedral memo snapshot and the persistent
-    incremental store.  GET answers the raw bytes or 404; PUT stores the
-    request body atomically; DELETE reports ``{"deleted": bool}``.
-``GET /v1/cache/{namespace}``
-    The sorted entry names of one namespace.
-``GET /v1/cache/stats``
-    Entry/byte counters of the whole store, per namespace, plus the memo
-    snapshot and incremental store summaries.
-
-Cache routes do **not** take an admission slot (like ``/lint``): they are
-storage I/O, not analysis, and a shard worker fetching the shared memo
-snapshot must not deadlock behind the very batch requests it serves.
 """
 
 from __future__ import annotations
@@ -100,7 +79,6 @@ import collections
 import itertools
 import json
 import math
-import re
 import socket
 import threading
 import time
@@ -113,7 +91,7 @@ from ..engine.batch import BatchResult, summarize_batch
 from ..engine.cache import ResultCache
 from ..engine.config import DEFAULT_SERVICE_PORT as DEFAULT_PORT
 from ..engine.profile import percentile
-from ..engine.tasks import AnalysisTask
+from ..engine.tasks import AnalysisTask, registered_kinds
 from .pool import WorkerPool
 
 __all__ = [
@@ -141,10 +119,6 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Ring-buffer window of per-route latency samples behind the percentiles.
 LATENCY_WINDOW = 512
-
-#: Valid cache-plane namespace and entry names: portable filenames with no
-#: leading dot, so a directory-backed store can never be walked out of.
-_CACHE_SEGMENT = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -188,8 +162,15 @@ def _task_from_mapping(data: Mapping[str, Any]) -> AnalysisTask:
     if not isinstance(source, str) or not source.strip():
         raise ValueError('"source" must be a non-empty string of program text')
     kind = data.get("kind", "analyze")
-    if not isinstance(kind, str):
-        raise ValueError('"kind" must be a string')
+    if kind not in registered_kinds():
+        known = ", ".join(registered_kinds())
+        raise ValueError(f"unknown task kind {kind!r} (known: {known})")
+    procedure = data.get("procedure")
+    if procedure is not None and not isinstance(procedure, str):
+        raise ValueError('"procedure" must be a string or null')
+    cost_variable = data.get("cost_variable", "cost")
+    if not isinstance(cost_variable, str):
+        raise ValueError('"cost_variable" must be a string')
     substitutions = data.get("substitutions") or {}
     if isinstance(substitutions, Mapping):
         pairs = substitutions.items()
@@ -218,8 +199,8 @@ def _task_from_mapping(data: Mapping[str, Any]) -> AnalysisTask:
         name=str(data.get("name", "request")),
         source=source,
         kind=kind,
-        procedure=data.get("procedure"),
-        cost_variable=str(data.get("cost_variable", "cost")),
+        procedure=procedure,
+        cost_variable=cost_variable,
         substitutions=normalized,
         params=tuple(sorted((str(key), value) for key, value in params.items())),
         suite=suite,
@@ -622,13 +603,12 @@ class AnalysisServer:
         pool: WorkerPool,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        cache: Optional[ResultCache] = None,
         verbose: bool = False,
         backlog: int = DEFAULT_BACKLOG,
         sock: Optional[socket.socket] = None,
     ):
         self.pool = pool
-        self.cache = cache if cache is not None else pool.cache
+        self.cache = pool.cache
         self.verbose = verbose
         self.backlog = max(0, int(backlog))
         self.capacity = pool.workers + self.backlog
@@ -815,22 +795,14 @@ class AnalysisServer:
     # ------------------------------------------------------------------ #
     async def _dispatch(
         self, request: _Request, request_id: str
-    ) -> tuple[int, Any, list[tuple[str, str]], str]:
+    ) -> tuple[int, dict[str, Any], list[tuple[str, str]], str]:
         """Route one request; returns (status, document, headers, route)."""
         path = request.target.split("?", 1)[0]
         prefix = f"/{API_VERSION}/"
         # Every route lives under /v1; an unversioned path names no route.
         name = path[len(prefix) :] if path.startswith(prefix) else ""
-        is_cache = name == "cache" or name.startswith("cache/")
-        route_label = (
-            "cache"
-            if is_cache
-            else (name if name in self.ROUTES else "other")
-        )
+        route_label = name if name in self.ROUTES else "other"
         try:
-            if is_cache:
-                status, document, extra = await self._route_cache(request, name)
-                return status, document, list(extra), "cache"
             if name not in self.ROUTES:
                 raise _HttpError(
                     404, "not_found", f"no such path {path!r}"
@@ -885,23 +857,17 @@ class AnalysisServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        document: Any,
+        document: Mapping[str, Any],
         headers: Sequence[tuple[str, str]],
         keep_alive: bool,
         request_id: Optional[str],
     ) -> None:
-        if isinstance(document, (bytes, bytearray, memoryview)):
-            # Cache-plane entry bodies move verbatim; everything else is JSON.
-            body = bytes(document)
-            content_type = "application/octet-stream"
-        else:
-            body = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
+        body = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
         phrase = _STATUS_PHRASES.get(status, "Unknown")
         lines = [
             f"HTTP/1.1 {status} {phrase}",
             f"Server: {self.VERSION_STRING}",
-            f"Content-Type: {content_type}",
+            "Content-Type: application/json",
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
@@ -1101,118 +1067,6 @@ class AnalysisServer:
     ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
         document = self.metrics.document(self.capacity, self._admitted, self.pool)
         return 200, document, []
-
-    # ------------------------------------------------------------------ #
-    # The cache plane: /v1/cache/... (see the module docstring)
-    # ------------------------------------------------------------------ #
-    def _cache_namespace_storage(self, namespace: str):
-        """The storage backend one cache-plane namespace maps to."""
-        from .remote import ROOT_NAMESPACE
-
-        if namespace == "stats" or not _CACHE_SEGMENT.match(namespace):
-            raise _HttpError(
-                400, "bad_request", f"bad cache namespace {namespace!r}"
-            )
-        if namespace == ROOT_NAMESPACE:
-            return self.cache.storage
-        return self.cache.storage.namespace(namespace)
-
-    def _cache_stats_blocking(self) -> dict[str, Any]:
-        document = self.cache.storage.stats()
-        document["memo_snapshot"] = self.cache.memo_snapshot_stats()
-        document["incremental_store"] = self.cache.incremental_store_stats()
-        return document
-
-    async def _route_cache(
-        self, request: _Request, name: str
-    ) -> tuple[int, Any, list[tuple[str, str]]]:
-        """Serve the attached cache store over HTTP (no admission slot).
-
-        Storage calls are blocking I/O, so they run on the executor like
-        the analysis routes; unlike those they bypass :meth:`_admit` — a
-        shard worker pulling the shared memo snapshot must not queue
-        behind the very batch requests it is serving.
-        """
-        if self.cache is None:
-            raise _HttpError(
-                404,
-                "not_found",
-                "this service has no cache attached"
-                " (start repro serve with caching enabled)",
-            )
-        loop = asyncio.get_running_loop()
-        segments = name.split("/")[1:]
-        if segments == ["stats"]:
-            if request.method != "GET":
-                raise _HttpError(
-                    405,
-                    "method_not_allowed",
-                    f"/v1/cache/stats accepts GET, not {request.method}",
-                    headers=[("Allow", "GET")],
-                )
-            document = await loop.run_in_executor(
-                self._executor, self._cache_stats_blocking
-            )
-            return 200, document, []
-        if len(segments) == 1 and segments[0]:
-            namespace = segments[0]
-            storage = self._cache_namespace_storage(namespace)
-            if request.method != "GET":
-                raise _HttpError(
-                    405,
-                    "method_not_allowed",
-                    f"/v1/cache/{namespace} accepts GET, not {request.method}",
-                    headers=[("Allow", "GET")],
-                )
-            names = await loop.run_in_executor(
-                self._executor, lambda: sorted(storage.names())
-            )
-            return 200, {"namespace": namespace, "names": names}, []
-        if len(segments) == 2 and all(segments):
-            namespace, entry = segments
-            storage = self._cache_namespace_storage(namespace)
-            if not _CACHE_SEGMENT.match(entry):
-                raise _HttpError(
-                    400, "bad_request", f"bad cache entry name {entry!r}"
-                )
-            if request.method == "GET":
-                data = await loop.run_in_executor(
-                    self._executor, storage.read, entry
-                )
-                if data is None:
-                    raise _HttpError(
-                        404,
-                        "not_found",
-                        f"no cache entry {entry!r} in namespace {namespace!r}",
-                    )
-                return 200, data, []
-            if request.method == "PUT":
-                body = request.body
-                await loop.run_in_executor(
-                    self._executor, storage.write, entry, body
-                )
-                return (
-                    200,
-                    {"stored": entry, "namespace": namespace, "bytes": len(body)},
-                    [],
-                )
-            if request.method == "DELETE":
-                removed = await loop.run_in_executor(
-                    self._executor, storage.delete, entry
-                )
-                return (
-                    200,
-                    {"deleted": bool(removed), "name": entry, "namespace": namespace},
-                    [],
-                )
-            raise _HttpError(
-                405,
-                "method_not_allowed",
-                f"/v1/cache/{namespace}/{entry} accepts GET, PUT or DELETE,"
-                f" not {request.method}",
-                headers=[("Allow", "GET, PUT, DELETE")],
-            )
-        raise _HttpError(404, "not_found", f"no such path '/v1/{name}'")
 
 
 def serve(

@@ -18,6 +18,13 @@ Slow rows carry the repository's ``slow`` marker and run in CI's slow job.
 import dataclasses
 
 import pytest
+import sympy
+from sympy.parsing.sympy_parser import (
+    convert_xor,
+    implicit_multiplication,
+    parse_expr,
+    standard_transformations,
+)
 
 from repro.benchlib.suites import get_suite
 from repro.core import ChoraOptions
@@ -61,9 +68,33 @@ def row_params(suite: str):
         yield pytest.param(entry.name, marks=marks)
 
 
-def normalize_bound(bound: str) -> str:
-    """Asymptotic-class strings modulo formatting (``n*log(n)`` vs ``n log(n)``)."""
-    return (bound or "").replace("*", "").replace(" ", "")
+_BOUND_SYNTAX = standard_transformations + (implicit_multiplication, convert_xor)
+
+
+def _bound_expression(bound):
+    """The argument of ``O(...)`` as a sympy expression; other text as is."""
+    text = (bound or "").strip()
+    if not (text.startswith("O(") and text.endswith(")")):
+        return text
+    return parse_expr(
+        text[2:-1],
+        local_dict={"log2": lambda x: sympy.log(x, 2)},
+        transformations=_BOUND_SYNTAX,
+    )
+
+
+def same_bound(left, right) -> bool:
+    """Whether two Table-1 bounds name the same ``O(...)`` expression.
+
+    ``^`` is power, ``log2(x)`` is ``log(x, 2)`` and juxtaposition is
+    multiplication, so factor order and spelling do not matter
+    (``O(2^n*n)`` is ``O(n*2^n)``); a bound that is not ``O(...)``, such
+    as ``n.b.``, equals only the same text.
+    """
+    left, right = _bound_expression(left), _bound_expression(right)
+    if isinstance(left, str) or isinstance(right, str):
+        return type(left) is type(right) and left == right
+    return sympy.simplify(left - right) == 0
 
 
 def assert_dominance(name: str, chora_proved: bool, baseline_proved: bool):
@@ -78,7 +109,7 @@ def assert_dominance(name: str, chora_proved: bool, baseline_proved: bool):
 
 class TestTable2VersusUnrolling:
     #: This reproduction's reference verdicts (paper's CHORA also proves
-    #: quad; that gap predates this test and is tracked in EXPERIMENTS.md).
+    #: quad; that gap predates this test and is listed in KNOWN_GAPS).
     CHORA_VERDICTS = {"quad": False, "pow2_overflow": True, "height": True}
 
     @pytest.mark.parametrize("name", list(row_params("table2")))
@@ -122,7 +153,7 @@ class TestTable1VersusIcra:
         chora = run_tool("table1", name, "complexity")
         icra = run_tool("table1", name, "complexity-icra")
         # CHORA reproduces the paper's Table-1 bound on every row.
-        assert normalize_bound(chora["bound"]) == normalize_bound(entry.paper["chora"]), (
+        assert same_bound(chora["bound"], entry.paper["chora"]), (
             f"{name}: CHORA bound {chora['bound']!r} != paper {entry.paper['chora']!r}"
         )
         # ICRA must never out-perform CHORA: on rows where ICRA finds no
@@ -132,3 +163,20 @@ class TestTable1VersusIcra:
             assert chora["found"], (
                 f"{name}: ICRA found a bound but CHORA did not"
             )
+
+
+class TestSameBound:
+    @pytest.mark.parametrize(
+        "left, right, equal",
+        [
+            ("O(2^n*n)", "O(n*2^n)", True),
+            ("O(n*log(n))", "O(n log(n))", True),
+            ("O(2^n)", "O(3^n)", False),
+            ("O(n)", "O(n log(n))", False),
+            ("n.b.", "O(n^log2(7))", False),
+            ("n.b.", "n.b.", True),
+        ],
+    )
+    def test_bounds_compare_as_expressions(self, left, right, equal):
+        assert same_bound(left, right) is equal
+        assert same_bound(right, left) is equal

@@ -1,28 +1,20 @@
-"""Multi-machine bench on one box: --distribute, the shared cache plane,
-straggler retry, and the 429 backpressure retry policy.
+"""The 429 backpressure retry policy of ``ServiceClient`` and ``repro batch``.
 
-The acceptance contract of the distributed cache plane: ``repro bench
---distribute`` over two real ``repro serve`` instances sharing one
-``RemoteStorage`` cache produces records bit-identical (up to wall time
-and cache-hit counters) to a single-box ``repro bench`` — including when
-one instance is dead and its shard fails over — and the shared store ends
-up holding the fleet's memo snapshot, visible to ``repro cache stats
---cache-url``.
+A scripted stand-in service answers ``429`` with ``Retry-After: 0`` a set
+number of times before it answers ``200``.  The client fails fast by
+default and retries within an explicit budget; ``repro batch
+--retry-429 N`` makes at most ``N + 1`` attempts and exits 2 when the
+service is still saturated.
 """
 
 import json
-import socket
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro.cli import main
-from repro.engine import MemoryStorage, ResultCache
-from repro.service import AnalysisServer, WorkerPool
-from repro.service.client import ServiceClient, ServiceError, ServiceHTTPError
-from repro.service.remote import RemoteStorage
+from repro.service.client import ServiceClient, ServiceHTTPError
 
 
 def run_cli(capsys, *argv: str):
@@ -31,191 +23,6 @@ def run_cli(capsys, *argv: str):
     return code, captured.out, captured.err
 
 
-def _semantic(record):
-    """Everything of a result record except the run-dependent fields."""
-    return {
-        key: value
-        for key, value in record.items()
-        if key not in ("wall_time", "cache_hit")
-    }
-
-
-class _StubPool:
-    """Enough pool for a cache-only AnalysisServer (no worker forks)."""
-
-    workers = 1
-    cache = None
-
-    def stats_dict(self):
-        return {}
-
-    def busy_workers(self):
-        return 0
-
-    def close(self):
-        pass
-
-
-def _start_server(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.address
-    url = f"http://{host}:{port}"
-    _wait_until_serving(url)
-    return thread, url
-
-
-def _wait_until_serving(url, deadline=30.0):
-    started = time.monotonic()
-    while True:
-        try:
-            with ServiceClient(url, timeout=2.0) as client:
-                client.healthz()
-            return
-        except ServiceError:
-            if time.monotonic() - started > deadline:
-                raise
-            time.sleep(0.05)
-
-
-def _stop_server(server, thread):
-    server.shutdown()
-    server.close()
-    thread.join(10)
-
-
-def _free_port():
-    """A port that was just free — nothing listens on it."""
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
-@pytest.fixture(scope="class")
-def cache_host():
-    """A cache-plane-only service backed by one in-memory store."""
-    server = AnalysisServer(
-        _StubPool(), port=0, cache=ResultCache(storage=MemoryStorage())
-    )
-    thread, url = _start_server(server)
-    yield url
-    _stop_server(server, thread)
-
-
-class TestDistributedBench:
-    def test_distribute_is_bit_identical_and_shares_the_cache_plane(
-        self, cache_host, capsys
-    ):
-        code, out, _ = run_cli(
-            capsys, "bench", "--suite", "table2", "--no-cache", "--json"
-        )
-        assert code == 0
-        local = json.loads(out)
-
-        fleet = []
-        try:
-            for _ in range(2):
-                pool = WorkerPool(
-                    workers=1, cache=ResultCache(storage=RemoteStorage(cache_host))
-                )
-                server = AnalysisServer(pool, port=0)
-                thread, url = _start_server(server)
-                fleet.append((server, thread, url))
-            hosts = ",".join(url.removeprefix("http://") for _, _, url in fleet)
-            code, out, err = run_cli(
-                capsys, "bench", "--suite", "table2", "--distribute", hosts, "--json"
-            )
-            assert code == 0, err
-            document = json.loads(out)
-            assert document["engine"] == "distribute"
-            assert all(report["ok"] for report in document["shards"])
-            assert [_semantic(r) for r in document["results"]] == [
-                _semantic(r) for r in local["results"]
-            ]
-            # The fleet wrote its results through the shared remote store.
-            shared = RemoteStorage(cache_host)
-            assert list(shared.names()), "no results reached the cache plane"
-        finally:
-            for server, thread, _ in fleet:
-                _stop_server(server, thread)
-
-        # Worker shutdown persisted the fleet's memo snapshot to the shared
-        # store (the multi-machine warm start PR 5 left open)...
-        from repro.polyhedra.cache import SNAPSHOT_NAME
-
-        snapshot = RemoteStorage(cache_host).namespace("memo").read(SNAPSHOT_NAME)
-        assert snapshot is not None
-        # ...and `repro cache stats --cache-url` sees the same store.
-        code, out, _ = run_cli(capsys, "cache", "stats", "--cache-url", cache_host)
-        assert code == 0
-        assert cache_host in out
-        assert "polyhedra memo snapshot:" in out
-        assert "memo snapshot: none" not in out
-
-    def test_dead_host_shards_are_retried_on_the_survivor(
-        self, cache_host, capsys
-    ):
-        code, out, _ = run_cli(
-            capsys, "bench", "--suite", "table2", "--no-cache", "--json"
-        )
-        assert code == 0
-        local = json.loads(out)
-
-        pool = WorkerPool(
-            workers=1, cache=ResultCache(storage=RemoteStorage(cache_host))
-        )
-        server = AnalysisServer(pool, port=0)
-        thread, live_url = _start_server(server)
-        dead = f"127.0.0.1:{_free_port()}"
-        # Pin the dead host to a shard slot the suite actually hashes into,
-        # so the coordinator must observe the failure and fail over.
-        from repro.cli import suite_tasks
-        from repro.engine.shard import shard_index
-
-        occupied = shard_index(suite_tasks("table2", False)[0], 2)
-        try:
-            live = live_url.removeprefix("http://")
-            pair = [live, live]
-            pair[occupied - 1] = dead
-            hosts = ",".join(pair)
-            code, out, err = run_cli(
-                capsys, "bench", "--suite", "table2", "--distribute", hosts, "--json"
-            )
-            assert code == 0, err
-            document = json.loads(out)
-            # Every shard was served, by the one surviving host.
-            for report in document["shards"]:
-                assert report["ok"]
-                assert report["host"] == live_url
-            assert [_semantic(r) for r in document["results"]] == [
-                _semantic(r) for r in local["results"]
-            ]
-            assert "marking host dead" in err or "unreachable" in err
-        finally:
-            _stop_server(server, thread)
-
-    def test_distribute_rejects_shard_and_bad_hosts(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "bench", "--suite", "table2",
-            "--distribute", "127.0.0.1:1", "--shard", "1/2",
-        )
-        assert code == 2
-        assert "mutually exclusive" in err
-        code, _, err = run_cli(
-            capsys,
-            "bench", "--suite", "table2",
-            "--distribute", "127.0.0.1:1,127.0.0.1:1",
-        )
-        assert code == 2
-        assert "duplicate host" in err
-
-
-# ---------------------------------------------------------------------- #
-# 429 backpressure retry policy (client + CLI)
-# ---------------------------------------------------------------------- #
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Answers 429 (Retry-After: 0) ``fail_times`` times, then 200."""
 

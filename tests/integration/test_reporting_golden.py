@@ -1,9 +1,10 @@
 """Golden-output tests for the rendered Table 1 / Table 2 reports.
 
-The rendered tables are user-facing artefacts (CI logs, EXPERIMENTS.md);
-formatting drift, precision changes and verdict flips all show up as a diff
-against the checked-in goldens.  The snapshots cover the fast suite rows
-without timing columns, so they are bit-stable across machines.
+The rendered tables set this reproduction's verdicts and bounds beside the
+paper's Table 1 / Table 2 values; formatting drift, precision changes and
+verdict flips all show up as a diff against the checked-in goldens.  The
+snapshots cover the fast suite rows without timing columns, so they are
+bit-stable across machines.
 
 Regenerate after an intentional change with::
 

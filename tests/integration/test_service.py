@@ -336,7 +336,15 @@ class TestAnalysisServer:
 
     def test_bad_requests_get_400(self, server):
         host, port = server.address
-        for body in (b"{not json", b"{}", b'{"source": 3}', b'["list"]'):
+        malformed_fields = [
+            {"source": TRIVIAL, "kind": "nope"},
+            {"source": TRIVIAL, "procedure": 5},
+            {"source": TRIVIAL, "cost_variable": 5},
+        ]
+        bodies = [b"{not json", b"{}", b'{"source": 3}', b'["list"]'] + [
+            json.dumps(body).encode("utf-8") for body in malformed_fields
+        ]
+        for body in bodies:
             request = urllib.request.Request(
                 f"http://{host}:{port}/v1/analyze",
                 data=body,
@@ -344,7 +352,7 @@ class TestAnalysisServer:
             )
             with pytest.raises(urllib.error.HTTPError) as error:
                 urllib.request.urlopen(request, timeout=30)
-            assert error.value.code == 400
+            assert error.value.code == 400, body
 
     def test_non_integral_substitutions_get_400(self, server):
         """Regression: ``{"n": 2.7}`` used to be silently truncated to 2
@@ -484,6 +492,9 @@ class TestBatchRoute:
             {"tasks": "not-a-list"},
             {"suite": "table2", "depth": 3},  # --depth needs the unroller
             {"suite": "table2", "depth": 2.5, "tool": "unrolling"},
+            {"tasks": [{"source": TRIVIAL, "kind": "nope"}]},
+            {"tasks": [{"source": TRIVIAL, "procedure": 5}]},
+            {"tasks": [{"source": TRIVIAL, "cost_variable": 5}]},
         ]
         for body in bodies:
             request = urllib.request.Request(

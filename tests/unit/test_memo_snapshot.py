@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.storage import DirectoryStorage, MemoryStorage, PrefixStorage
+from repro.engine.storage import DirectoryStorage, MemoryStorage
 from repro.formulas import sym
 from repro.polyhedra import LinearConstraint, eliminate
 from repro.polyhedra import cache as memo
@@ -277,7 +277,3 @@ class TestStorageNamespaces:
         assert list(storage.names()) == ["result"]
         assert list(ns.names()) == ["snapshot"]
         assert (tmp_path / "memo" / "snapshot.json").exists()
-
-    def test_prefix_storage_location_names_the_namespace(self):
-        ns = PrefixStorage(MemoryStorage(), "memo")
-        assert "memo" in ns.location()
