@@ -6,8 +6,7 @@
                 [--lint]
     repro bench --suite table1|fig3|table2|all [--tool chora|icra|unrolling]
                 [--depth N] [--jobs N] [--full] [--json]
-                [--engine pool|warm] [--shard I/N] [--memo-snapshot]
-                [--lint]
+                [--engine pool|warm] [--shard I/N] [--lint]
     repro lint FILE ... [--severity error|warning|info] [--disable CODES]
                [--json]
     repro batch --url URL (--suite NAME | --tasks FILE) [--deadline-ms MS]
@@ -32,11 +31,11 @@ results are cached on disk, and a pathological program can at worst time out
 baselines, ``--engine warm`` serves the batch from long-lived warm workers
 instead of one process per task, ``--shard i/n`` runs one deterministic
 slice of the suite and merges the other shards' results from the shared
-result cache, and ``--memo-snapshot`` (default on with a cache) lets cold
-forks warm-start from the persisted polyhedral memo snapshot.  ``serve``
-starts the warm analysis service: an asyncio HTTP endpoint (versioned
-under ``/v1``, with keep-alive, bounded admission, per-request deadlines
-and a ``/v1/metrics`` SLO document) whose ``POST /v1/analyze`` accepts
+result cache; with a result cache, cold forks warm-start from the persisted
+polyhedral memo snapshot.  ``serve`` starts the warm analysis service: an
+asyncio HTTP endpoint (versioned under ``/v1``, with keep-alive, bounded
+admission, per-request deadlines and a ``/v1/metrics`` SLO document that
+also carries the pool counters) whose ``POST /v1/analyze`` accepts
 program source and returns the same JSON records as ``repro analyze
 --json`` and whose ``POST /v1/batch`` runs whole suites; ``batch`` is
 the matching client — it sends a suite (or an inline task list) to a
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
-    _engine_arguments(serve, jobs=False, json_flag=False, memo_flag=False)
+    _engine_arguments(serve, jobs=False, json_flag=False)
 
     batch = commands.add_parser(
         "batch",
@@ -506,7 +505,6 @@ def _engine_arguments(
     parser: argparse.ArgumentParser,
     jobs: bool,
     json_flag: bool = True,
-    memo_flag: bool = True,
 ) -> None:
     if jobs:
         parser.add_argument(
@@ -528,14 +526,6 @@ def _engine_arguments(
         "--no-cache", action="store_true", help="disable the on-disk result cache"
     )
     _cache_location_arguments(parser)
-    if memo_flag:
-        parser.add_argument(
-            "--memo-snapshot",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="warm-start worker forks from the persisted polyhedral memo"
-            " snapshot (default: on whenever the result cache is enabled)",
-        )
     if json_flag:
         parser.add_argument(
             "--json", action="store_true", help="emit machine-readable JSON"
@@ -588,7 +578,6 @@ def _make_engine(arguments: argparse.Namespace) -> BatchEngine:
             directory=arguments.cache_dir,
         ),
         options=ChoraOptions(),
-        memo_snapshot=getattr(arguments, "memo_snapshot", None),
     )
 
 
@@ -711,7 +700,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
             timeout=arguments.timeout,
             options=options,
             cache=cache,
-            memo_snapshot=arguments.memo_snapshot,
         ) as pool:
             # The same suite-serving path POST /batch uses, so a local warm
             # bench and a served suite return identical records.
@@ -724,7 +712,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
             timeout=arguments.timeout,
             cache=cache,
             options=options,
-            memo_snapshot=arguments.memo_snapshot,
         )
         results = engine.run(run_tasks, progress=progress)
 
@@ -931,10 +918,10 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         )
         return 2
     host, port = server.address
+    routes = ", ".join(f"{method} {name}" for name, method in server.ROUTES.items())
     print(
         f"repro serve: {arguments.workers} warm workers on http://{host}:{port}"
-        f" (/v1: POST analyze, POST batch, GET healthz, GET stats, GET"
-        f" metrics; admits {server.capacity} requests; Ctrl-C stops)",
+        f" (/v1: {routes}; admits {server.capacity} requests; Ctrl-C stops)",
         flush=True,
     )
     # SIGTERM (what init systems and CI send) must take the same clean

@@ -11,6 +11,12 @@ its traceback — in every case the rest of the batch keeps running.
 Because each task executes in a process forked from the same parent state,
 results are bit-for-bit independent of scheduling: ``jobs=4`` produces the
 same outcomes as a serial run.
+
+The isolation core below — :func:`run_in_worker` and :func:`send_reply` on
+the child side, :class:`WorkerProcess` on the parent side, and the
+:class:`BatchResult` constructors — is shared with the warm workers of
+:class:`repro.service.pool.WorkerPool`, which keep one child alive across
+many requests instead of forking one per task.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from ..core import ChoraOptions
 from .cache import ResultCache
@@ -51,6 +57,37 @@ class BatchResult:
     #: error / timeout detail (empty on success).
     detail: str = ""
     payload: Mapping[str, Any] = field(default_factory=dict, hash=False)
+
+    @classmethod
+    def succeeded(
+        cls, task: AnalysisTask, payload: dict, wall_time: float, cache_hit: bool
+    ) -> "BatchResult":
+        """The ``ok`` record of ``task``, its verdict columns read off ``payload``."""
+        return cls(
+            name=task.name,
+            kind=task.kind,
+            outcome="ok",
+            wall_time=wall_time,
+            cache_hit=cache_hit,
+            suite=task.suite,
+            proved=payload.get("proved"),
+            bound=payload.get("bound"),
+            payload=payload,
+        )
+
+    @classmethod
+    def failed(
+        cls, task: AnalysisTask, outcome: str, wall_time: float, detail: str
+    ) -> "BatchResult":
+        """The record of ``task`` with no payload: any outcome but ``ok``."""
+        return cls(
+            name=task.name,
+            kind=task.kind,
+            outcome=outcome,
+            wall_time=wall_time,
+            suite=task.suite,
+            detail=detail,
+        )
 
     @property
     def ok(self) -> bool:
@@ -101,39 +138,159 @@ class BatchResult:
             raise ValueError(f"malformed result record: {error}") from None
 
 
-def _result_from_payload(
-    task: AnalysisTask, payload: dict, wall_time: float, cache_hit: bool
-) -> BatchResult:
-    return BatchResult(
-        name=task.name,
-        kind=task.kind,
-        outcome="ok",
-        wall_time=wall_time,
-        cache_hit=cache_hit,
-        suite=task.suite,
-        proved=payload.get("proved"),
-        bound=payload.get("bound"),
-        payload=payload,
-    )
+def settle_without_worker(
+    task: AnalysisTask,
+    options: ChoraOptions,
+    cache: Optional[ResultCache],
+    timeout: Optional[float],
+) -> tuple[Optional[str], Optional[BatchResult]]:
+    """The cache key of ``task`` and its record, when no worker is needed.
+
+    The record is a cache hit, or a ``timeout`` under an immediate ``0``
+    deadline: deterministic, because no worker is engaged (a fast task
+    must not win a race against the reaper).  ``None`` means a worker must
+    run the task, and the key (``None`` without a cache) stores its result.
+    """
+    key = cache.key(task, options) if cache is not None else None
+    if key is not None:
+        payload = cache.get(key)
+        if payload is not None:
+            return key, BatchResult.succeeded(task, payload, 0.0, True)
+    if timeout == 0:
+        return key, BatchResult.failed(task, "timeout", 0.0, "exceeded the 0s deadline")
+    return key, None
 
 
-def _unreported_result(task: AnalysisTask) -> BatchResult:
-    """The explicit error record for a slot no result ever landed in."""
-    return BatchResult(
-        name=task.name,
-        kind=task.kind,
-        outcome="error",
-        wall_time=0.0,
-        suite=task.suite,
-        detail="no result was recorded for this task; this is an engine"
-        " bookkeeping bug, not an analysis outcome",
-    )
+def fill_unreported(
+    tasks: Sequence[AnalysisTask], results: Sequence[Optional[BatchResult]]
+) -> list[BatchResult]:
+    """``results`` with every empty slot an explicit ``error`` record.
+
+    Every task must be accounted for: a slot no result landed in (an engine
+    bookkeeping bug, or a run unwinding through an exception) would
+    otherwise silently shrink the report, which reads as a smaller suite.
+    """
+    return [
+        result
+        if result is not None
+        else BatchResult.failed(
+            task,
+            "error",
+            0.0,
+            "no result was recorded for this task; this is an engine"
+            " bookkeeping bug, not an analysis outcome",
+        )
+        for task, result in zip(tasks, results)
+    ]
+
+
+# ---------------------------------------------------------------------- #
+# The isolation core: one child process behind a pipe
+# ---------------------------------------------------------------------- #
+def run_in_worker(task: AnalysisTask, options: ChoraOptions) -> tuple[str, Any]:
+    """Run ``task`` here, in a worker: ``("ok", payload)`` or ``("error", detail)``."""
+    try:
+        return "ok", execute_task(task, options)
+    except InvalidProgram as error:
+        # A front-end rejection is a structured outcome, not a bug: the
+        # one-line detail (no traceback) is what the CLI prints verbatim
+        # and what the service maps to a 400 answer.
+        return "error", f"invalid-program: {error}"
+    except BaseException:
+        return "error", traceback.format_exc(limit=20)
+
+
+def send_reply(connection, status: str, body: Any, *extra: Any) -> None:
+    """Send ``(status, body, *extra)`` to the parent.
+
+    A payload that fails to *serialize* (``connection.send`` pickles it)
+    is sent as an ``error`` carrying the serialization traceback instead:
+    dying mid-send would surface as an unexplained ``crash``.
+    """
+    try:
+        connection.send((status, body, *extra))
+    except BaseException:
+        connection.send(
+            (
+                "error",
+                "the task succeeded but its result payload could not be"
+                " serialized for the parent process:\n"
+                + traceback.format_exc(limit=20),
+                *extra,
+            )
+        )
+
+
+class WorkerProcess:
+    """The parent's handle on one child process behind a pipe.
+
+    The child runs ``target(connection, *args)`` and answers over its end
+    of the pipe with :func:`send_reply`.
+    """
+
+    __slots__ = ("process", "connection")
+
+    def __init__(self, context, target, *args: Any, duplex: bool = False):
+        self.connection, child_end = context.Pipe(duplex=duplex)
+        self.process = context.Process(
+            target=target, args=(child_end, *args), daemon=True
+        )
+        self.process.start()
+        child_end.close()
+
+    def poll(self, wait: float = 0.0):
+        """The child's next reply, or ``None`` if none arrives within ``wait`` s.
+
+        Raises ``ConnectionError`` when the child exited without replying.
+        A reply that fails to *deserialize* here (a ``__reduce__`` that
+        raises on load, a class that only exists in the child, ...) comes
+        back as an ``error`` reply: the child reported, so its task failed,
+        not the child.
+        """
+        if not self.connection.poll(wait):
+            if self.process.is_alive():
+                return None
+            # One final receive: the reply may have raced the exit.
+            if not self.connection.poll(0):
+                raise ConnectionError(self._exited())
+        try:
+            return self.connection.recv()
+        except (EOFError, OSError) as error:
+            self.process.join(1)
+            raise ConnectionError(self._exited()) from error
+        except BaseException:
+            return (
+                "error",
+                "the worker's result payload could not be deserialized:\n"
+                + traceback.format_exc(limit=20),
+            )
+
+    def _exited(self) -> str:
+        return (
+            f"worker exited with code {self.process.exitcode}"
+            " without reporting a result"
+        )
+
+    def join(self) -> None:
+        """Wait for a child that has replied or exited; close the pipe."""
+        self.process.join()
+        self.connection.close()
+
+    def kill(self) -> None:
+        """Terminate the child if it still runs; close the pipe."""
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(5)
+            if self.process.is_alive():  # pragma: no cover - stubborn worker
+                self.process.kill()
+                self.process.join()
+        self.connection.close()
 
 
 def _worker(
-    task: AnalysisTask, options: ChoraOptions, connection, memo_storage=None
+    connection, task: AnalysisTask, options: ChoraOptions, memo_storage
 ) -> None:
-    """Entry point of one worker process: run the task, report once.
+    """Entry point of one batch worker process: run the task, reply once.
 
     When ``memo_storage`` is given the fork warm-starts its polyhedral memo
     tables from the persisted snapshot (written by warm-pool workers, see
@@ -143,26 +300,11 @@ def _worker(
     cold-per-task clearing keeps the loaded entries.  Memoized queries are
     pure functions of their keys, so the snapshot changes latency, never
     results.
-
-    The result send is guarded separately from the analysis: a payload that
-    fails to *serialize* (``connection.send`` pickles it) must be reported
-    as an ``error`` carrying the serialization traceback, not die mid-send
-    and surface as an unexplained ``crash`` in the batch report.
     """
-
-    def run() -> tuple:
-        try:
-            return ("ok", execute_task(task, options))
-        except InvalidProgram as error:
-            # A front-end rejection is a structured outcome, not a bug: the
-            # one-line detail (no traceback) is what the CLI prints verbatim
-            # and what the service maps to a 400 answer.
-            return ("error", f"invalid-program: {error}")
-        except BaseException:
-            return ("error", traceback.format_exc(limit=20))
-
     try:
-        if memo_storage is not None:
+        if memo_storage is None:
+            status, body = run_in_worker(task, options)
+        else:
             from ..polyhedra.cache import clear_caches, keep_warm, load_snapshot
             from .cache import code_fingerprint
 
@@ -174,35 +316,19 @@ def _worker(
                 # fork simply runs cold.
                 pass
             with keep_warm():
-                message = run()
-        else:
-            message = run()
-        try:
-            connection.send(message)
-        except BaseException:
-            connection.send(
-                (
-                    "error",
-                    "the task succeeded but its result payload could not be"
-                    " serialized for the parent process:\n"
-                    + traceback.format_exc(limit=20),
-                )
-            )
+                status, body = run_in_worker(task, options)
+        send_reply(connection, status, body)
     finally:
         connection.close()
 
 
-class _Running:
-    """Book-keeping for one in-flight worker."""
+class _Running(NamedTuple):
+    """Book-keeping for one in-flight batch worker."""
 
-    __slots__ = ("process", "connection", "task", "key", "started")
-
-    def __init__(self, process, connection, task, key, started):
-        self.process = process
-        self.connection = connection
-        self.task = task
-        self.key = key
-        self.started = started
+    worker: WorkerProcess
+    task: AnalysisTask
+    key: Optional[str]
+    started: float
 
 
 class BatchEngine:
@@ -217,18 +343,16 @@ class BatchEngine:
         is an *immediate* deadline — cache hits still serve, but no worker
         is ever spawned and every other task is reported as ``timeout``.
     cache:
-        A :class:`ResultCache`, or ``None`` to disable caching.
+        A :class:`ResultCache`, or ``None`` to disable caching.  With a
+        cache, worker forks also warm-start their polyhedral memo tables
+        from the snapshot persisted in its ``memo`` namespace (written by
+        warm-pool runs); it closes most of the cold-start gap between
+        ``--engine pool`` and ``--engine warm`` without giving up per-task
+        process isolation.  Forks only *load*; merging back is the warm
+        pool's job (many short-lived forks racing on the snapshot would pay
+        more in pickling than they could ever save).
     options:
         The :class:`ChoraOptions` every task is analysed under.
-    memo_snapshot:
-        Whether worker forks warm-start their polyhedral memo tables from
-        the snapshot persisted in the cache's ``memo`` namespace (written
-        by warm-pool runs).  ``None`` — the default — enables it exactly
-        when a cache is configured; it closes most of the cold-start gap
-        between ``--engine pool`` and ``--engine warm`` without giving up
-        per-task process isolation.  Forks only *load*; merging back is
-        the warm pool's job (many short-lived forks racing on the snapshot
-        would pay more in pickling than they could ever save).
     """
 
     def __init__(
@@ -237,16 +361,12 @@ class BatchEngine:
         timeout: Optional[float] = None,
         cache: Optional[ResultCache] = None,
         options: ChoraOptions = ChoraOptions(),
-        memo_snapshot: Optional[bool] = None,
     ):
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
         self.cache = cache
         self.options = options
-        enabled = (cache is not None) if memo_snapshot is None else bool(memo_snapshot)
-        self.memo_storage = (
-            cache.memo_storage() if enabled and cache is not None else None
-        )
+        self.memo_storage = cache.memo_storage() if cache is not None else None
         methods = multiprocessing.get_all_start_methods()
         # Fork shares the parent's warm module state with every worker and
         # keeps ad-hoc registered task kinds visible to them.
@@ -270,176 +390,74 @@ class BatchEngine:
 
         queue: deque[tuple[int, AnalysisTask, Optional[str]]] = deque()
         for index, task in enumerate(tasks):
-            key = self.cache.key(task, self.options) if self.cache else None
-            if key is not None:
-                payload = self.cache.get(key)
-                if payload is not None:
-                    finish(index, _result_from_payload(task, payload, 0.0, True))
-                    continue
-            if self.timeout == 0:
-                # An immediate deadline: deterministic, no worker is spawned
-                # (a fast task must not win a race against the reaper).
-                finish(
-                    index,
-                    BatchResult(
-                        name=task.name,
-                        kind=task.kind,
-                        outcome="timeout",
-                        wall_time=0.0,
-                        suite=task.suite,
-                        detail="exceeded the 0s deadline",
-                    ),
-                )
-                continue
-            queue.append((index, task, key))
+            key, settled = settle_without_worker(
+                task, self.options, self.cache, self.timeout
+            )
+            if settled is not None:
+                finish(index, settled)
+            else:
+                queue.append((index, task, key))
 
         running: dict[int, _Running] = {}
         try:
             while queue or running:
                 while queue and len(running) < self.jobs:
                     index, task, key = queue.popleft()
-                    running[index] = self._spawn(task, key)
+                    started = time.monotonic()
+                    worker = WorkerProcess(
+                        self._context, _worker, task, self.options, self.memo_storage
+                    )
+                    running[index] = _Running(worker, task, key, started)
                 self._reap(running, finish)
         finally:
             for state in running.values():
-                self._kill(state)
-        # Every task must be accounted for: a slot that never received a
-        # result (an engine bookkeeping bug, or the run() above unwinding
-        # through an exception) becomes an explicit error record instead of
-        # silently shrinking the report.
-        for index, task in enumerate(tasks):
-            if results[index] is None:
-                finish(index, _unreported_result(task))
-        return [result for result in results if result is not None]
-
-    def run_suite(
-        self,
-        suite: str,
-        full: Optional[bool] = None,
-        progress: Optional[Callable[[BatchResult], None]] = None,
-    ) -> list[BatchResult]:
-        """Analyse one of the paper's benchmark suites (or ``"all"``)."""
-        from .suites import suite_tasks
-
-        return self.run(suite_tasks(suite, full), progress)
+                state.worker.kill()
+        return fill_unreported(tasks, results)
 
     # ------------------------------------------------------------------ #
-    def _spawn(self, task: AnalysisTask, key: Optional[str]) -> _Running:
-        receiver, sender = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_worker,
-            args=(task, self.options, sender, self.memo_storage),
-            daemon=True,
-        )
-        started = time.monotonic()
-        process.start()
-        sender.close()
-        return _Running(process, receiver, task, key, started)
-
     def _reap(
         self,
         running: dict[int, _Running],
         finish: Callable[[int, BatchResult], None],
     ) -> None:
         """Wait briefly for workers, then settle every finished/overdue one."""
-        connections = [state.connection for state in running.values()]
-        if connections:
-            multiprocessing.connection.wait(connections, timeout=0.05)
+        multiprocessing.connection.wait(
+            [state.worker.connection for state in running.values()], timeout=0.05
+        )
         for index, state in list(running.items()):
             elapsed = time.monotonic() - state.started
-            message = self._try_recv(state)
-            dead = not state.process.is_alive()
-            if message is None and dead:
-                # The worker may have sent its result between our poll and
-                # its exit — one final receive before declaring a crash.
-                message = self._try_recv(state)
-            if message is not None:
-                state.process.join()
-                state.connection.close()
-                del running[index]
-                status, body = message
-                if status == "ok":
-                    if state.key is not None and self.cache is not None:
-                        self.cache.put(
-                            state.key,
-                            body,
-                            task_name=state.task.name,
-                            suite=state.task.suite,
-                        )
-                    finish(
-                        index, _result_from_payload(state.task, body, elapsed, False)
+            try:
+                reply = state.worker.poll()
+            except ConnectionError as error:
+                state.worker.kill()
+                result = BatchResult.failed(state.task, "crash", elapsed, str(error))
+            else:
+                if reply is not None:
+                    # A worker that replied exits on its own: join, never kill.
+                    state.worker.join()
+                    result = self._replied(state, reply, elapsed)
+                elif self.timeout is not None and elapsed > self.timeout:
+                    state.worker.kill()
+                    result = BatchResult.failed(
+                        state.task,
+                        "timeout",
+                        elapsed,
+                        f"exceeded the {self.timeout:g}s deadline",
                     )
                 else:
-                    finish(
-                        index,
-                        BatchResult(
-                            name=state.task.name,
-                            kind=state.task.kind,
-                            outcome="error",
-                            wall_time=elapsed,
-                            suite=state.task.suite,
-                            detail=str(body),
-                        ),
-                    )
-            elif dead:
-                state.process.join()
-                state.connection.close()
-                del running[index]
-                finish(
-                    index,
-                    BatchResult(
-                        name=state.task.name,
-                        kind=state.task.kind,
-                        outcome="crash",
-                        wall_time=elapsed,
-                        suite=state.task.suite,
-                        detail=f"worker exited with code {state.process.exitcode}"
-                        " without reporting a result",
-                    ),
-                )
-            elif self.timeout is not None and elapsed > self.timeout:
-                self._kill(state)
-                del running[index]
-                finish(
-                    index,
-                    BatchResult(
-                        name=state.task.name,
-                        kind=state.task.kind,
-                        outcome="timeout",
-                        wall_time=elapsed,
-                        suite=state.task.suite,
-                        detail=f"exceeded the {self.timeout:g}s deadline",
-                    ),
-                )
+                    continue
+            del running[index]
+            finish(index, result)
 
-    @staticmethod
-    def _try_recv(state: _Running):
-        if state.connection.poll():
-            try:
-                return state.connection.recv()
-            except (EOFError, OSError):
-                return None
-            except BaseException:
-                # The worker reported, but its payload failed to
-                # *deserialize* (a __reduce__ that raises on load, a class
-                # that only exists in the worker, ...).  That is this task's
-                # error, never a reason to sink the whole batch.
-                return (
-                    "error",
-                    "the worker's result payload could not be deserialized:\n"
-                    + traceback.format_exc(limit=20),
-                )
-        return None
-
-    @staticmethod
-    def _kill(state: _Running) -> None:
-        if state.process.is_alive():
-            state.process.terminate()
-            state.process.join(5)
-            if state.process.is_alive():  # pragma: no cover - stubborn worker
-                state.process.kill()
-                state.process.join()
-        state.connection.close()
+    def _replied(self, state: _Running, reply: tuple, elapsed: float) -> BatchResult:
+        status, body = reply
+        if status != "ok":
+            return BatchResult.failed(state.task, "error", elapsed, str(body))
+        if state.key is not None and self.cache is not None:
+            self.cache.put(
+                state.key, body, task_name=state.task.name, suite=state.task.suite
+            )
+        return BatchResult.succeeded(state.task, body, elapsed, False)
 
 
 def summarize_batch(results: Sequence[BatchResult]) -> dict[str, Any]:

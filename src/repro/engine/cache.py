@@ -220,24 +220,20 @@ class ResultCache:
 
         return self.incremental_storage().delete(STORE_NAME)
 
-    def stats(self, per_suite: bool = True) -> dict[str, Any]:
+    def stats(self) -> dict[str, Any]:
         """Entry count, total size, and per-suite breakdown of the cache.
 
         The ``suites`` mapping counts entries by the suite that produced
         them; entries recorded outside any suite (``repro analyze``, the
         service) or predating the suite metadata appear under ``"(none)"``.
-        The breakdown requires reading every entry, so hot-path callers
-        (the service's ``/stats`` route) pass ``per_suite=False`` to get
-        the counters from file metadata alone.
+        The breakdown reads every entry: an on-demand report for ``repro
+        cache stats``, not a monitoring probe.
         """
         names = list(self.storage.names())
         stats: dict[str, Any] = {
             "directory": self.storage.location(),
             "entries": len(names),
         }
-        if not per_suite:
-            stats["bytes"] = sum(self.storage.size_of(name) for name in names)
-            return stats
         size = 0
         suites: dict[str, int] = {}
         for name in names:

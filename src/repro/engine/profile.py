@@ -161,8 +161,8 @@ def engine_comparison_entry(
       from cold memo tables (what each forked batch worker pays);
     * ``<name>/snapshot-cold`` — the same run after force-clearing the
       tables and loading the persisted polyhedral memo snapshot the cold
-      runs accumulated (what a snapshot-aware ``--engine pool`` fork pays,
-      see :class:`~repro.engine.batch.BatchEngine`'s ``memo_snapshot``);
+      runs accumulated (what an ``--engine pool`` fork pays when the
+      result cache is enabled, see :class:`~repro.engine.batch.BatchEngine`);
     * ``<name>/warm-first`` — the first request through a
       :class:`~repro.service.pool.WorkerPool` worker (builds the worker's
       incremental summary store);

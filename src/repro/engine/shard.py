@@ -28,7 +28,7 @@ import re
 from typing import Optional, Sequence
 
 from ..core import ChoraOptions
-from .batch import BatchResult
+from .batch import BatchResult, fill_unreported
 from .cache import ResultCache
 from .tasks import AnalysisTask
 
@@ -107,38 +107,16 @@ def merge_foreign_results(
     for position, task in foreign:
         payload = cache.get(cache.key(task, options))
         if payload is not None:
-            merged.append(
-                (
-                    position,
-                    BatchResult(
-                        name=task.name,
-                        kind=task.kind,
-                        outcome="ok",
-                        wall_time=0.0,
-                        cache_hit=True,
-                        suite=task.suite,
-                        proved=payload.get("proved"),
-                        bound=payload.get("bound"),
-                        payload=payload,
-                    ),
-                )
-            )
+            result = BatchResult.succeeded(task, payload, 0.0, True)
         else:
-            owner = shard_index(task, count)
-            merged.append(
-                (
-                    position,
-                    BatchResult(
-                        name=task.name,
-                        kind=task.kind,
-                        outcome="pending",
-                        wall_time=0.0,
-                        suite=task.suite,
-                        detail=f"owned by shard {owner}/{count};"
-                        " not in the shared cache yet",
-                    ),
-                )
+            result = BatchResult.failed(
+                task,
+                "pending",
+                0.0,
+                f"owned by shard {shard_index(task, count)}/{count};"
+                " not in the shared cache yet",
             )
+        merged.append((position, result))
     return merged
 
 
@@ -164,16 +142,4 @@ def merged_shard_results(
         slots[position] = result
     for position, result in merge_foreign_results(foreign, cache, options, count):
         slots[position] = result
-    for position, task in enumerate(tasks):
-        if slots[position] is None:
-            slots[position] = BatchResult(
-                name=task.name,
-                kind=task.kind,
-                outcome="error",
-                wall_time=0.0,
-                suite=task.suite,
-                detail="no result was recorded for this task while merging"
-                " shard reports; this is an engine bookkeeping bug, not an"
-                " analysis outcome",
-            )
-    return list(slots)
+    return fill_unreported(tasks, slots)

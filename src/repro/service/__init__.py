@@ -11,8 +11,9 @@ traffic:
   (:func:`repro.polyhedra.cache.keep_warm`), and runs CHORA through an
   :class:`~repro.core.incremental.IncrementalAnalyzer`, so a repeated or
   lightly-edited program re-analyses only the procedures whose fingerprints
-  changed.  Per-request timeout and crash isolation match the batch engine:
-  a hung or dying worker is replaced, never the service.
+  changed.  Per-request timeout, crash and error isolation is the batch
+  engine's own isolation core (:mod:`repro.engine.batch`), run in a
+  long-lived worker: a hung or dying worker is replaced, never the service.
 * :class:`~repro.service.server.AnalysisServer` — an asyncio HTTP
   front-end (``repro serve``) speaking the versioned ``/v1`` API with
   keep-alive and pipelined connections, bounded admission (429 + a

@@ -308,8 +308,5 @@ class ServiceClient:
     def healthz(self) -> Response:
         return self.request("GET", "healthz")
 
-    def stats(self) -> Response:
-        return self.request("GET", "stats")
-
     def metrics(self) -> Response:
         return self.request("GET", "metrics")

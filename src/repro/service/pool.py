@@ -13,12 +13,15 @@ pipe is never shared between two in-flight requests), so the pool is safe
 to drive from multiple threads: the HTTP server checks workers out of an
 idle queue, and :meth:`WorkerPool.run` fans a task list out over them.
 
-Failure handling mirrors the batch engine: a request that overruns the
-deadline gets a ``timeout`` result and its worker is killed and replaced; a
-worker that dies mid-request yields a ``crash`` result and is replaced; an
-exception inside the analysis yields an ``error`` result and the worker
-stays (its state is still consistent — warm tables are content-keyed and
-never partially updated).
+Failure handling is the batch engine's isolation core
+(:mod:`repro.engine.batch`: ``run_in_worker``, ``send_reply`` and
+``WorkerProcess``), run in a long-lived worker instead of a fork per task:
+a request that overruns the deadline gets a ``timeout`` result and its
+worker is killed and replaced; a worker that dies mid-request yields a
+``crash`` result and is replaced; an exception inside the analysis, or a
+payload that cannot cross the pipe, yields an ``error`` result and the
+worker stays (its state is still consistent — warm tables are
+content-keyed and never partially updated).
 
 When the pool has a result cache, its storage backend also carries two
 persisted warm-state blobs: a snapshot of the polyhedral memo tables (see
@@ -38,29 +41,27 @@ import multiprocessing
 import queue
 import threading
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from ..core import ChoraOptions
-from ..engine.batch import BatchResult
-from ..engine.cache import ResultCache
-from ..engine.tasks import (
-    AnalysisTask,
-    InvalidProgram,
-    execute_task,
-    set_program_analyzer,
+from ..engine.batch import (
+    BatchResult,
+    WorkerProcess,
+    fill_unreported,
+    run_in_worker,
+    send_reply,
+    settle_without_worker,
 )
+from ..engine.cache import ResultCache
+from ..engine.tasks import AnalysisTask, set_program_analyzer
 
 __all__ = ["WorkerPool", "PoolStats"]
 
 
 def _worker_main(
-    connection,
-    options: ChoraOptions,
-    memo_storage=None,
-    store_storage=None,
+    connection, options: ChoraOptions, memo_storage, store_storage
 ) -> None:
     """Entry point of one warm worker: serve requests until told to stop."""
     import signal
@@ -126,59 +127,23 @@ def _worker_main(
                 # Reset so kinds that never run CHORA (the baselines) don't
                 # report the previous request's splice counts.
                 analyzer.last_report = IncrementalReport()
-                try:
-                    payload = execute_task(message, options)
-                    meta = {
-                        "worker_seconds": round(time.perf_counter() - started, 4),
-                        "requests": requests,
-                        "incremental": analyzer.last_report.to_dict(),
-                    }
-                    reply = ("ok", payload, meta)
-                except InvalidProgram as error:
-                    # Front-end rejection: a structured one-line detail the
-                    # service maps to a 400 answer, not a traceback.
-                    meta = {
-                        "worker_seconds": round(time.perf_counter() - started, 4),
-                        "requests": requests,
-                    }
-                    reply = ("error", f"invalid-program: {error}", meta)
-                except BaseException:
-                    meta = {
-                        "worker_seconds": round(time.perf_counter() - started, 4),
-                        "requests": requests,
-                    }
-                    reply = ("error", traceback.format_exc(limit=20), meta)
-                try:
-                    connection.send(reply)
-                except BaseException:
-                    # The payload failed to serialize; report that as this
-                    # request's error instead of dying mid-send (which the
-                    # parent would misread as a worker crash).
-                    connection.send(
-                        (
-                            "error",
-                            "the task succeeded but its result payload could"
-                            " not be serialized for the parent process:\n"
-                            + traceback.format_exc(limit=20),
-                            meta,
-                        )
-                    )
+                status, body = run_in_worker(message, options)
+                meta = {
+                    "worker_seconds": round(time.perf_counter() - started, 4),
+                    "requests": requests,
+                }
+                if status == "ok":
+                    meta["incremental"] = analyzer.last_report.to_dict()
+                send_reply(connection, status, body, meta)
     finally:
         set_program_analyzer(previous)
         connection.close()
 
 
-class _WarmWorker:
+class _WarmWorker(WorkerProcess):
     """Parent-side handle of one warm worker process."""
 
-    __slots__ = (
-        "process",
-        "connection",
-        "served",
-        "ready",
-        "memo_loaded",
-        "store_loaded",
-    )
+    __slots__ = ("ready", "memo_loaded", "store_loaded")
 
     #: Ceiling on worker start-up (interpreter + sympy import for spawned
     #: replacements); forked workers signal readiness in milliseconds.
@@ -188,42 +153,22 @@ class _WarmWorker:
     #: its memo snapshot, which must not be cut short by an impatient kill.
     SHUTDOWN_GRACE = 30.0
 
-    def __init__(
-        self,
-        context,
-        options: ChoraOptions,
-        memo_storage=None,
-        store_storage=None,
-    ):
-        parent_end, child_end = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_worker_main,
-            args=(child_end, options, memo_storage, store_storage),
-            daemon=True,
+    def __init__(self, context, options: ChoraOptions, memo_storage, store_storage):
+        super().__init__(
+            context, _worker_main, options, memo_storage, store_storage, duplex=True
         )
-        self.process.start()
-        child_end.close()
-        self.connection = parent_end
-        self.served = 0
         self.ready = False
         self.memo_loaded = 0
         self.store_loaded = 0
 
     def _await_ready(self) -> None:
         """Consume the start-up handshake (once per worker lifetime)."""
-        deadline = time.monotonic() + self.STARTUP_TIMEOUT
-        while not self.connection.poll(0.05):
-            if not self.process.is_alive() and not self.connection.poll(0):
-                raise ConnectionError(
-                    f"worker exited with code {self.process.exitcode}"
-                    " during start-up"
-                )
-            if time.monotonic() >= deadline:  # pragma: no cover - 5 min
-                raise ConnectionError("worker start-up timed out")
         try:
-            message = self.connection.recv()
-        except (EOFError, OSError) as error:
-            raise ConnectionError("worker died during start-up") from error
+            message = self._reply_within(self.STARTUP_TIMEOUT)
+        except TimeoutError:  # pragma: no cover - 5 min
+            raise ConnectionError("worker start-up timed out") from None
+        except ConnectionError as error:
+            raise ConnectionError(f"start-up failed: {error}") from error
         if not (isinstance(message, tuple) and message[0] == "ready"):
             raise ConnectionError(f"unexpected start-up message {message!r}")
         meta = message[2] if len(message) > 2 and isinstance(message[2], dict) else {}
@@ -243,38 +188,18 @@ class _WarmWorker:
         if not self.ready:
             self._await_ready()
         self.connection.send(task)
+        # A reply that failed to deserialize carries no meta.
+        status, body, *meta = self._reply_within(timeout)
+        return status, body, meta[0] if meta else {}
+
+    def _reply_within(self, timeout: Optional[float]):
+        """The worker's next reply; ``TimeoutError`` after ``timeout`` s."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             wait = 0.05 if deadline is None else min(0.05, deadline - time.monotonic())
-            if self.connection.poll(max(wait, 0)):
-                try:
-                    reply = self.connection.recv()
-                except (EOFError, OSError) as error:
-                    self.process.join(1)
-                    raise ConnectionError(
-                        "worker died mid-request"
-                        f" (exit code {self.process.exitcode})"
-                    ) from error
-                except BaseException:
-                    # The worker replied but the payload failed to
-                    # deserialize on this side; the worker itself is alive
-                    # and consistent, so report an error result and keep it.
-                    reply = (
-                        "error",
-                        "the worker's result payload could not be"
-                        " deserialized:\n" + traceback.format_exc(limit=20),
-                        {},
-                    )
-                self.served += 1
+            reply = self.poll(max(wait, 0))
+            if reply is not None:
                 return reply
-            if not self.process.is_alive():
-                # One final poll: the reply may have raced the exit.
-                if self.connection.poll(0):
-                    continue
-                raise ConnectionError(
-                    f"worker exited with code {self.process.exitcode}"
-                    " without reporting a result"
-                )
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError
 
@@ -291,15 +216,6 @@ class _WarmWorker:
             pass
         self.process.join(self.SHUTDOWN_GRACE)
         self.kill()
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(5)
-            if self.process.is_alive():  # pragma: no cover - stubborn worker
-                self.process.kill()
-                self.process.join()
-        self.connection.close()
 
 
 @dataclass
@@ -348,12 +264,6 @@ class WorkerPool:
         An optional shared :class:`ResultCache` consulted before a worker
         is engaged and populated after it answers — the same content keys
         the batch engine uses, so the service and batch runs share results.
-    memo_snapshot:
-        Whether workers use the persisted polyhedral memo snapshot (load
-        on start, merge on clean shutdown).  ``None`` — the default —
-        enables it exactly when a cache is configured; ``False`` runs the
-        pool with genuinely cold memo tables (``repro bench --engine warm
-        --no-memo-snapshot``).
     """
 
     def __init__(
@@ -362,7 +272,6 @@ class WorkerPool:
         timeout: Optional[float] = None,
         options: ChoraOptions = ChoraOptions(),
         cache: Optional[ResultCache] = None,
-        memo_snapshot: Optional[bool] = None,
     ):
         self.workers = max(1, int(workers))
         self.timeout = timeout
@@ -372,12 +281,7 @@ class WorkerPool:
         # live in their own namespaces of the result cache's storage
         # backend: workers load both on start and merge their state back on
         # clean shutdown, so warmth survives restarts.
-        memo_enabled = (
-            (cache is not None) if memo_snapshot is None else bool(memo_snapshot)
-        )
-        self.memo_storage = (
-            cache.memo_storage() if memo_enabled and cache is not None else None
-        )
+        self.memo_storage = cache.memo_storage() if cache is not None else None
         self.incremental_storage = (
             cache.incremental_storage() if cache is not None else None
         )
@@ -453,23 +357,16 @@ class WorkerPool:
             effective = timeout if effective is None else min(effective, timeout)
         with self._stats_lock:
             self.stats.requests += 1
-        key = self.cache.key(task, self.options) if self.cache else None
-        if key is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                with self._stats_lock:
-                    self.stats.cache_hits += 1
-                return self._ok_result(task, payload, 0.0, cache_hit=True), {}
-
-        if effective == 0:
-            # An immediate deadline: report the timeout without engaging (and
-            # then having to kill and replace) a perfectly healthy worker.
+        key, settled = settle_without_worker(task, self.options, self.cache, effective)
+        if settled is not None:
+            # A cache hit, or an immediate deadline reported without
+            # engaging (and then having to kill and replace) a healthy worker.
             with self._stats_lock:
-                self.stats.timeouts += 1
-            return (
-                self._failed_result(task, "timeout", 0.0, "exceeded the 0s deadline"),
-                {},
-            )
+                if settled.cache_hit:
+                    self.stats.cache_hits += 1
+                else:
+                    self.stats.timeouts += 1
+            return settled, {}
 
         worker = self._idle.get()
         started = time.monotonic()
@@ -480,21 +377,14 @@ class WorkerPool:
             self._replace(worker)
             with self._stats_lock:
                 self.stats.timeouts += 1
-            return (
-                self._failed_result(
-                    task,
-                    "timeout",
-                    elapsed,
-                    f"exceeded the {effective:g}s deadline",
-                ),
-                {},
-            )
+            detail = f"exceeded the {effective:g}s deadline"
+            return BatchResult.failed(task, "timeout", elapsed, detail), {}
         except ConnectionError as error:
             elapsed = time.monotonic() - started
             self._replace(worker)
             with self._stats_lock:
                 self.stats.crashes += 1
-            return self._failed_result(task, "crash", elapsed, str(error)), {}
+            return BatchResult.failed(task, "crash", elapsed, str(error)), {}
         except BaseException:
             # Any other failure between checkout and reply (a payload that
             # cannot pickle for the send, an interrupt, a bug) leaves the
@@ -510,15 +400,14 @@ class WorkerPool:
             # a failure there cannot leak it either.
             self._idle.put(worker)
         elapsed = time.monotonic() - started
-        meta = meta if isinstance(meta, dict) else {}
         self._absorb_meta(meta)
         if status != "ok":
             with self._stats_lock:
                 self.stats.errors += 1
-            return self._failed_result(task, "error", elapsed, str(body)), meta
+            return BatchResult.failed(task, "error", elapsed, str(body)), meta
         if key is not None and self.cache is not None:
             self.cache.put(key, body, task_name=task.name, suite=task.suite)
-        return self._ok_result(task, body, elapsed, cache_hit=False), meta
+        return BatchResult.succeeded(task, body, elapsed, False), meta
 
     def run(
         self,
@@ -561,18 +450,7 @@ class WorkerPool:
         with ThreadPoolExecutor(max_workers=self.workers) as executor:
             for future in [executor.submit(work, i) for i in range(len(tasks))]:
                 future.result()
-        # Account for every task: a slot no result landed in becomes an
-        # explicit error record rather than silently shrinking the report.
-        for index, task in enumerate(tasks):
-            if results[index] is None:
-                results[index] = self._failed_result(
-                    task,
-                    "error",
-                    0.0,
-                    "no result was recorded for this task; this is a pool"
-                    " bookkeeping bug, not an analysis outcome",
-                )
-        return [result for result in results if result is not None], metas
+        return fill_unreported(tasks, results), metas
 
     # ------------------------------------------------------------------ #
     def _absorb_meta(self, meta: dict) -> None:
@@ -580,35 +458,6 @@ class WorkerPool:
         with self._stats_lock:
             self.stats.procedures_reused += len(incremental.get("reused", ()))
             self.stats.procedures_analyzed += len(incremental.get("analyzed", ()))
-
-    @staticmethod
-    def _ok_result(
-        task: AnalysisTask, payload: dict, wall_time: float, cache_hit: bool
-    ) -> BatchResult:
-        return BatchResult(
-            name=task.name,
-            kind=task.kind,
-            outcome="ok",
-            wall_time=wall_time,
-            cache_hit=cache_hit,
-            suite=task.suite,
-            proved=payload.get("proved"),
-            bound=payload.get("bound"),
-            payload=payload,
-        )
-
-    @staticmethod
-    def _failed_result(
-        task: AnalysisTask, outcome: str, wall_time: float, detail: str
-    ) -> BatchResult:
-        return BatchResult(
-            name=task.name,
-            kind=task.kind,
-            outcome=outcome,
-            wall_time=wall_time,
-            suite=task.suite,
-            detail=detail,
-        )
 
     # ------------------------------------------------------------------ #
     def busy_workers(self) -> int:

@@ -1,7 +1,7 @@
 """The ``repro serve`` HTTP front-end: a single-event-loop asyncio server.
 
 The service speaks a versioned HTTP API.  Every route is mounted under
-``/v1/`` (``/v1/analyze``, ``/v1/batch``, ``/v1/healthz``, ``/v1/stats``,
+``/v1/`` (``/v1/analyze``, ``/v1/batch``, ``/v1/lint``, ``/v1/healthz``,
 ``/v1/metrics``); any other path answers the ``not_found`` envelope below.
 One ``asyncio`` event loop accepts **keep-alive and pipelined**
 connections and parses HTTP/1.1 itself (stdlib only); analysis work is
@@ -57,19 +57,25 @@ The routes themselves are unchanged in substance:
     a client deadline expired — that is the 504 above).
 ``POST /v1/batch``
     Body: a whole suite — either ``{"suite": "table2"}`` (optionally with
-    ``"full"``, ``"tool"``, ``"depth"``), resolved through the benchmark
-    registry of :mod:`repro.benchlib.suites`, or an inline task list
+    a boolean ``"full"``, ``"tool"``, ``"depth"``), resolved through the
+    benchmark registry of :mod:`repro.benchlib.suites`, or an inline task list
     ``{"tasks": [...]}`` / a bare JSON list.  The response carries the
     same ordered ``BatchResult`` records ``repro bench --json`` prints,
     the batch totals, and a per-task incremental splice summary (see
     :func:`run_batch`).  A ``"deadline_ms"`` bounds the whole batch.
+``POST /v1/lint``
+    Body: ``{"source": "...", "severity": "info", "disable": [...]}``
+    (everything but ``source`` optional) or the raw program text.  The
+    response is ``{"ok": bool, "counts": {...}, "diagnostics": [...]}``
+    with the diagnostic objects ``repro lint --json`` prints, HTTP 200
+    whatever it finds; linting occupies neither an analysis worker nor an
+    admission slot.
 ``GET /v1/healthz``
     Liveness: ``{"status": "ok", "workers": N}``.
-``GET /v1/stats``
-    Pool counters (requests, cache hits, incremental splice totals,
-    restarts) plus the result-cache stats when a cache is attached.
 ``GET /v1/metrics``
-    The SLO document described above.
+    The SLO document described above, plus the pool counters under
+    ``"pool"`` (requests, cache hits, incremental splice totals,
+    restarts).
 """
 
 from __future__ import annotations
@@ -312,10 +318,13 @@ def tasks_from_batch_request(
         depth = data.get("depth")
         if depth is not None:
             depth = _integer_value('"depth"', depth)
+        full = data.get("full", False)
+        if not isinstance(full, bool):
+            raise ValueError('"full" must be true or false')
         from ..engine.suites import suite_tasks
 
         try:
-            tasks = suite_tasks(suite, bool(data.get("full", False)), tool, depth)
+            tasks = suite_tasks(suite, full, tool, depth)
         except (KeyError, ValueError) as error:
             message = error.args[0] if error.args else str(error)
             raise ValueError(str(message)) from None
@@ -457,6 +466,7 @@ class ServiceMetrics:
                 "busy": busy,
                 "utilisation": round(busy / pool.workers, 3) if pool.workers else 0.0,
             },
+            "pool": pool.stats_dict(),
             "responses": responses,
             "rejected_429": self.rejected_429,
             "deadline_504": self.deadline_504,
@@ -594,7 +604,6 @@ class AnalysisServer:
         "batch": "POST",
         "lint": "POST",
         "healthz": "GET",
-        "stats": "GET",
         "metrics": "GET",
     }
 
@@ -608,7 +617,6 @@ class AnalysisServer:
         sock: Optional[socket.socket] = None,
     ):
         self.pool = pool
-        self.cache = pool.cache
         self.verbose = verbose
         self.backlog = max(0, int(backlog))
         self.capacity = pool.workers + self.backlog
@@ -644,14 +652,6 @@ class AnalysisServer:
         """The bound ``(host, port)`` — port resolved even when 0 was asked."""
         host, port = self._socket.getsockname()[:2]
         return str(host), int(port)
-
-    def stats(self) -> dict[str, Any]:
-        document: dict[str, Any] = {"pool": self.pool.stats_dict()}
-        if self.cache is not None:
-            # Counters only: the per-suite breakdown re-reads every entry,
-            # too costly for a polled monitoring route on a shared cache.
-            document["result_cache"] = self.cache.stats(per_suite=False)
-        return document
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1056,11 +1056,6 @@ class AnalysisServer:
         self, request: _Request
     ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
         return 200, {"status": "ok", "workers": self.pool.workers}, []
-
-    async def _route_stats(
-        self, request: _Request
-    ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
-        return 200, self.stats(), []
 
     async def _route_metrics(
         self, request: _Request

@@ -39,6 +39,26 @@ UNROLL_DEPTH = {"table2": 3, "fig3": 4}
 #: seed), so ``quad`` is exempt from the dominance assertion.
 KNOWN_GAPS = {"quad"}
 
+_NEVER_PROVED = (
+    "precision gap: expected_chora is true, but this reproduction has never"
+    " proved the assertion"
+)
+
+#: Slow rows whose check fails because this reproduction falls short of the
+#: paper.  Each is a strict xfail naming its gap, so the row still runs
+#: under REPRO_FULL_BENCH=1 and its test fails once the gap closes.
+BELOW_PAPER = {
+    ("fig3", "MultCommutative"): _NEVER_PROVED,
+    ("fig3", "EvenOdd01"): _NEVER_PROVED,
+    ("fig3", "Primes01"): _NEVER_PROVED,
+    ("fig3", "RecHanoi01"): _NEVER_PROVED,
+    ("table1", "strassen"): (
+        "precision gap: n.b. against the paper's O(n^log2(7)); the summary of"
+        " matrixAdd has no upper bound on cost', so the work per level never"
+        " enters the recurrence"
+    ),
+}
+
 
 def run_tool(suite: str, name: str, kind: str, **params):
     entry = get_suite(suite).entry(name)
@@ -65,6 +85,9 @@ def row_params(suite: str):
                     reason="slow benchmark row; set REPRO_FULL_BENCH=1",
                 ),
             ]
+        gap = BELOW_PAPER.get((suite, entry.name))
+        if gap is not None:
+            marks.append(pytest.mark.xfail(strict=True, reason=gap))
         yield pytest.param(entry.name, marks=marks)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.core import ChoraOptions
 from repro.engine import execute_task, suite_tasks
-from repro.engine.batch import BatchResult, _result_from_payload
+from repro.engine.batch import BatchResult
 from repro.reporting import render_table1, render_table2
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -28,7 +28,7 @@ def run_suite_serial(suite: str) -> list[BatchResult]:
     results = []
     for task in suite_tasks(suite, full=False):
         payload = execute_task(task, ChoraOptions())
-        results.append(_result_from_payload(task, payload, 0.0, False))
+        results.append(BatchResult.succeeded(task, payload, 0.0, False))
     return results
 
 

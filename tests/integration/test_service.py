@@ -16,11 +16,17 @@ aliasing and error envelope (``TestV1Api``), bounded admission
 
 import json
 import multiprocessing
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +69,24 @@ def _service_exit(task, options):
     import os
 
     os._exit(17)
+
+
+@register_kind("service-unpicklable")
+def _service_unpicklable(task, options):
+    # Lambdas cannot be pickled: the worker's reply send must fail.
+    return {"bad": lambda x: x}
+
+
+class _ExplodesOnLoad:
+    """Pickles fine in the worker, raises while unpickling in the parent."""
+
+    def __reduce__(self):
+        return (eval, ("1/0",))
+
+
+@register_kind("service-unpicklable-on-load")
+def _service_unpicklable_on_load(task, options):
+    return {"bad": _ExplodesOnLoad()}
 
 
 def run_cli(capsys, *argv: str):
@@ -135,6 +159,32 @@ class TestWorkerPool:
         with WorkerPool(workers=1) as pool:
             bad = pool.submit(AnalysisTask(name="bad", source="int (", kind="analyze"))
             assert bad.outcome == "error"
+            assert pool.stats_dict()["restarts"] == 0
+
+    def test_unserializable_payload_is_an_error_and_keeps_the_worker(self):
+        with WorkerPool(workers=1) as pool:
+            bad = pool.submit(
+                AnalysisTask(name="bad", source="", kind="service-unpicklable")
+            )
+            assert bad.outcome == "error"
+            assert "could not be serialized" in bad.detail
+            after = pool.submit(
+                AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")
+            )
+            assert after.outcome == "ok"
+            assert pool.stats_dict()["restarts"] == 0
+
+    def test_undeserializable_payload_is_an_error_and_keeps_the_worker(self):
+        with WorkerPool(workers=1) as pool:
+            bad = pool.submit(
+                AnalysisTask(name="bad", source="", kind="service-unpicklable-on-load")
+            )
+            assert bad.outcome == "error"
+            assert "could not be deserialized" in bad.detail
+            after = pool.submit(
+                AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")
+            )
+            assert after.outcome == "ok"
             assert pool.stats_dict()["restarts"] == 0
 
     def test_pool_uses_the_result_cache(self):
@@ -211,17 +261,6 @@ class TestWorkerPool:
             )
             assert after.outcome == "ok"
             assert pool.stats_dict()["restarts"] == 1
-
-    def test_memo_snapshot_can_be_disabled_per_pool(self, tmp_path):
-        """Regression: ``--engine warm --no-memo-snapshot`` used to be
-        silently ignored — the pool loaded the snapshot regardless."""
-        cache = ResultCache(tmp_path)
-        with WorkerPool(workers=1, cache=cache) as default_pool:
-            assert default_pool.memo_storage is not None
-        with WorkerPool(workers=1, cache=cache, memo_snapshot=False) as pool:
-            assert pool.memo_storage is None
-            # The incremental store is a separate mechanism and stays on.
-            assert pool.incremental_storage is not None
 
     def test_workers_ignore_sigint(self):
         """A terminal Ctrl-C signals the whole foreground process group;
@@ -324,8 +363,8 @@ class TestAnalysisServer:
         elapsed = time.perf_counter() - started
         assert record["outcome"] == "ok"
         assert elapsed < 1.0  # cold analysis of CHAIN takes far longer
-        stats = self._get(server, "/v1/stats")
-        assert stats["pool"]["procedures_reused"] >= 3
+        metrics = self._get(server, "/v1/metrics")
+        assert metrics["pool"]["procedures_reused"] >= 3
 
     def test_plain_text_body_is_program_source(self, server):
         record = self._post(server, TRIVIAL, content_type="text/plain")
@@ -495,6 +534,7 @@ class TestBatchRoute:
             {"tasks": [{"source": TRIVIAL, "kind": "nope"}]},
             {"tasks": [{"source": TRIVIAL, "procedure": 5}]},
             {"tasks": [{"source": TRIVIAL, "cost_variable": 5}]},
+            {"suite": "fig3", "full": "false"},  # a string is not a boolean
         ]
         for body in bodies:
             request = urllib.request.Request(
@@ -687,7 +727,7 @@ class TestBackpressure:
                         break
                     time.sleep(0.02)
                 assert client.healthz().document["status"] == "ok"
-                assert client.stats().document["pool"]["workers"] == 1
+                assert client.metrics().document["pool"]["workers"] == 1
             occupied.join(30)
         finally:
             _stop_server(server, thread)
@@ -974,6 +1014,39 @@ class TestServeBindFailure:
             blocker.close()
 
 
+class TestServeBanner:
+    def test_banner_names_every_route(self):
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--port", "0", "--workers", "1", "--no-cache",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=environment,
+            text=True,
+        )
+        try:
+            readable, _, _ = select.select([process.stdout], [], [], 120)
+            banner = process.stdout.readline() if readable else ""
+        finally:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        # The token after " on http://" is the bound address.
+        assert banner.startswith("repro serve: 1 warm workers on http://127.0.0.1:")
+        routes = banner.split("(/v1: ", 1)[1].split(";", 1)[0].split(", ")
+        assert routes == [
+            f"{method} {name}" for name, method in AnalysisServer.ROUTES.items()
+        ]
+
+
 class TestServiceRestart:
     def _request(self, server, path, document):
         host, port = server.address
@@ -985,18 +1058,18 @@ class TestServiceRestart:
         with urllib.request.urlopen(request, timeout=600) as response:
             return json.loads(response.read())
 
-    def _stats(self, server):
+    def _pool_stats(self, server):
         host, port = server.address
         with urllib.request.urlopen(
-            f"http://{host}:{port}/v1/stats", timeout=30
+            f"http://{host}:{port}/v1/metrics", timeout=30
         ) as response:
-            return json.loads(response.read())
+            return json.loads(response.read())["pool"]
 
     def test_restarted_service_splices_on_its_first_repeated_request(
         self, tmp_path
     ):
         """Acceptance: serve -> stop cleanly -> serve -> the first repeated
-        request splices every component, visible in /stats."""
+        request splices every component, visible in /metrics."""
         cache = ResultCache(tmp_path)
 
         server = AnalysisServer(WorkerPool(workers=1, cache=cache), port=0)
@@ -1004,7 +1077,7 @@ class TestServiceRestart:
         thread.start()
         record = self._request(server, "/v1/analyze", {"source": CHAIN, "kind": "assertion"})
         assert record["outcome"] == "ok"
-        assert self._stats(server)["pool"]["procedures_reused"] == 0
+        assert self._pool_stats(server)["procedures_reused"] == 0
         server.shutdown()
         server.close()  # clean stop: workers persist their stores
         thread.join(5)
@@ -1019,7 +1092,7 @@ class TestServiceRestart:
                 server, "/v1/analyze", {"source": CHAIN, "kind": "analyze"}
             )
             assert record["outcome"] == "ok"
-            stats = self._stats(server)["pool"]
+            stats = self._pool_stats(server)
             assert stats["incremental_store_components_loaded"] == 3
             assert stats["procedures_reused"] == 3
             assert stats["procedures_analyzed"] == 0

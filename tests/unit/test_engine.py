@@ -356,9 +356,6 @@ class TestSnapshotAwareForks:
         cache = ResultCache(tmp_path)
         assert BatchEngine(cache=cache).memo_storage is not None
         assert BatchEngine(cache=None).memo_storage is None
-        assert BatchEngine(cache=cache, memo_snapshot=False).memo_storage is None
-        # Asking for the snapshot without a cache has nothing to load from.
-        assert BatchEngine(cache=None, memo_snapshot=True).memo_storage is None
 
     def test_snapshot_fork_matches_the_cold_fork_bitwise(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -366,7 +363,7 @@ class TestSnapshotAwareForks:
         # "analyze" kind: a fresh cache key, so a worker actually runs.
         task = AnalysisTask(name="toy", source=TRIVIAL, kind="analyze")
         cold = BatchEngine(cache=None).run([task])[0]
-        warm = BatchEngine(cache=cache, memo_snapshot=True).run([task])[0]
+        warm = BatchEngine(cache=cache).run([task])[0]
         assert warm.outcome == cold.outcome == "ok"
         assert not warm.cache_hit
         assert dict(warm.payload) == dict(cold.payload)
@@ -375,7 +372,7 @@ class TestSnapshotAwareForks:
         cache = ResultCache(tmp_path)
         cache.memo_storage().write("polyhedra-memo", b"not a snapshot at all")
         task = AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")
-        result = BatchEngine(cache=cache, memo_snapshot=True).run([task])[0]
+        result = BatchEngine(cache=cache).run([task])[0]
         assert result.outcome == "ok"
 
 
