@@ -5,7 +5,8 @@ SV-COMP-style task and records whether the assertions were proved; the
 cactus series (cumulative time vs. benchmarks proved) is what Fig. 3 plots.
 A bounded-unrolling baseline stands in for the unrolling-capable tools; the
 paper's per-tool proved counts are attached as extra info so the harness
-output carries the same series (see DESIGN.md for the substitution).
+output carries the same series (see "Deviations from the paper's
+implementation" in ``docs/architecture.md``).
 
 Selection and execution go through the batch-engine task protocol: the
 representative default subset and the ``REPRO_FULL_BENCH=1`` full sweep are

@@ -7,7 +7,8 @@ CHORA and the bounded-unrolling baseline through the batch engine, builds
 the cactus series (cumulative time vs. number of benchmarks proved), and
 prints them next to the proved-counts the paper reports for CHORA, ICRA,
 Ultimate Automizer, UTaipan and VIAP (the external tools cannot be run
-offline; see DESIGN.md).
+offline; see "Deviations from the paper's implementation" in
+``docs/architecture.md``).
 
 Caching is disabled here: the per-benchmark wall times *are* the data.
 """

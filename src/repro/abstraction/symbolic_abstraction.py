@@ -8,9 +8,10 @@ dimension (congruence closure plus the inference rules of
 :mod:`repro.abstraction.linearize`).
 
 The cubes of ``phi``'s DNF are enumerated syntactically (the paper enumerates
-them lazily with an SMT solver — see DESIGN.md for the substitution), each
-satisfiable cube is projected with Fourier–Motzkin, and the projections are
-joined with the polyhedral join.
+them lazily with an SMT solver — see "Deviations from the paper's
+implementation" in ``docs/architecture.md``), each satisfiable cube is
+projected with Fourier–Motzkin, and the projections are joined with the
+polyhedral join.
 """
 
 from __future__ import annotations

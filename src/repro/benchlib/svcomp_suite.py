@@ -9,7 +9,8 @@ faster than the others).
 The benchmarks are re-written here in the mini-language, preserving their
 recursion structure and assertions.  The counts the paper reports per tool
 are recorded as reference data so that the Fig. 3 harness can print the same
-series even though the external tools cannot be run offline (see DESIGN.md).
+series even though the external tools cannot be run offline (see
+"Deviations from the paper's implementation" in ``docs/architecture.md``).
 """
 
 from __future__ import annotations

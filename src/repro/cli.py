@@ -31,15 +31,16 @@ results are cached on disk, and a pathological program can at worst time out
 baselines, ``--engine warm`` serves the batch from long-lived warm workers
 instead of one process per task, ``--shard i/n`` runs one deterministic
 slice of the suite and merges the other shards' results from the shared
-result cache; with a result cache, cold forks warm-start from the persisted
-polyhedral memo snapshot.  ``serve`` starts the warm analysis service: an
-asyncio HTTP endpoint (versioned under ``/v1``, with keep-alive, bounded
-admission, per-request deadlines and a ``/v1/metrics`` SLO document that
-also carries the pool counters) whose ``POST /v1/analyze`` accepts
-program source and returns the same JSON records as ``repro analyze
---json`` and whose ``POST /v1/batch`` runs whole suites; ``batch`` is
-the matching client — it sends a suite (or an inline task list) to a
-remote service and renders the records exactly like ``repro bench``.
+result cache; under the default engine every task the cache misses runs
+cold in its own fork.  ``serve`` starts the warm analysis service, whose workers keep their warm
+state in memory for as long as they live: an asyncio HTTP endpoint
+(versioned under ``/v1``, with keep-alive, bounded admission, per-request
+deadlines and a ``/v1/metrics`` SLO document that also carries the pool
+counters) whose ``POST /v1/analyze`` accepts program source and returns the
+same JSON records as ``repro analyze --json`` and whose ``POST /v1/batch``
+runs whole suites; ``batch`` is the matching client — it sends a suite (or
+an inline task list) to a remote service and renders the records exactly
+like ``repro bench``.
 ``lint`` runs the semantic diagnostics passes (see ``docs/linting.md``)
 over program files without analysing them: exit status 1 when any
 error-severity diagnostic fires, 0 otherwise; ``analyze`` and ``bench``
@@ -925,8 +926,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         flush=True,
     )
     # SIGTERM (what init systems and CI send) must take the same clean
-    # shutdown path as Ctrl-C, or workers lose their persisted warm state;
-    # background jobs in non-interactive shells cannot even receive SIGINT.
+    # shutdown path as Ctrl-C, so the server stops and joins its workers
+    # instead of dying past them; background jobs in non-interactive shells
+    # cannot even receive SIGINT.
     import signal
 
     def _on_sigterm(signum, frame):
@@ -1380,15 +1382,8 @@ def _command_cache(arguments: argparse.Namespace) -> int:
     try:
         if arguments.action == "clear":
             removed = cache.clear()
-            extras = []
-            if cache.clear_memo_snapshot():
-                extras.append("the polyhedra memo snapshot")
-            if cache.clear_incremental_store():
-                extras.append("the incremental summary store")
-            suffix = f" (and {' and '.join(extras)})" if extras else ""
             print(
-                f"removed {removed} cached results from"
-                f" {cache.storage.location()}{suffix}"
+                f"removed {removed} cached results from {cache.storage.location()}"
             )
             return 0
         stats = cache.stats()
@@ -1396,24 +1391,6 @@ def _command_cache(arguments: argparse.Namespace) -> int:
         print(f"{stats['entries']} entries, {stats['bytes']} bytes")
         for suite, count in stats["suites"].items():
             print(f"  {suite}: {count}")
-        memo = cache.memo_snapshot_stats()
-        if memo["present"]:
-            print(
-                f"polyhedra memo snapshot: {memo['entries']} entries,"
-                f" {memo['bytes']} bytes"
-            )
-            for table, count in memo["tables"].items():
-                print(f"  {table}: {count}")
-        else:
-            print("polyhedra memo snapshot: none")
-        store = cache.incremental_store_stats()
-        if store["present"]:
-            print(
-                f"incremental summary store: {store['components']} components"
-                f" ({store['procedures']} procedures), {store['bytes']} bytes"
-            )
-        else:
-            print("incremental summary store: none")
     except OSError as error:
         print(f"repro cache: {error}", file=sys.stderr)
         return 2

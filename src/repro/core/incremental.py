@@ -20,146 +20,30 @@ Summaries are reused by reference, which is sound because summaries and the
 transition formulas inside them are immutable: downstream components only
 compose and join them into new formulas.
 
-The store is also **persistable**: :meth:`IncrementalAnalyzer.save_store`
-serializes the component records into one atomic entry of a
-:class:`~repro.engine.storage.CacheStorage` (the service uses the result
-cache's ``incremental`` namespace) and :meth:`IncrementalAnalyzer.load_store`
-absorbs it back, so a restarted ``repro serve`` answers its first repeated
-request by splicing every component instead of starting cold.  Persistence
-mirrors the polyhedral memo snapshot (PR 4): the blob is guarded by a
-caller-supplied fingerprint (the engine passes its code fingerprint — stale
-analysis code reads as a cold start), written atomically with merge-on-save
-semantics, and unpickled through the restricted loader of
-:mod:`repro.polyhedra.cache` so a crafted blob in a shared cache directory
-cannot execute code.  Loading also advances the process's fresh-symbol
-counter past every index the saving process used, so newly minted auxiliary
-symbols can never collide with symbols inside restored summaries.
+The store lives exactly as long as the analyzer that fills it: nothing is
+written to disk, so a restarted service analyses each program's components
+cold once and reuses them from then on.
 """
 
 from __future__ import annotations
 
-import pickle
-
-import sympy
-
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..analysis import ProcedureContext
 from ..formulas import TransitionFormula
-from ..formulas.symbols import advance_fresh_counter, fresh_counter
 from ..lang import ast, build_call_graph
 from ..lang.fingerprint import procedure_fingerprints
-from ..polyhedra.cache import restricted_loads
 from .chora import AnalysisResult, ChoraOptions, analyze_component
 from .height_analysis import HeightAnalysis
 from .missing_base import transform_missing_base_cases
 from .summaries import ProcedureSummary
 
-if TYPE_CHECKING:  # pragma: no cover - layering: engine imports core
-    from ..engine.storage import CacheStorage
-
-__all__ = ["IncrementalAnalyzer", "IncrementalReport", "store_stats"]
+__all__ = ["IncrementalAnalyzer", "IncrementalReport"]
 
 #: Default number of cached components (a few hundred programs' worth).
 DEFAULT_COMPONENT_CAPACITY = 2048
-
-#: Entry name of the persisted component store inside its storage namespace.
-STORE_NAME = "incremental-summaries"
-
-#: Bump on incompatible changes to the pickled store layout.  Schema 3:
-#: symbols and monomials pickle as their constructor arguments only.
-STORE_SCHEMA = 3
-
-#: The class vocabulary a persisted component store may reference.  Component
-#: records are procedure summaries and height analyses: formula trees over
-#: polynomials and symbols, closed-form bounds (whose coefficients are sympy
-#: expression trees), and the auxiliary dataclasses of the height analysis.
-#: The sympy classes are enumerated individually — never by module prefix,
-#: which would hand pickle's REDUCE opcode eval-style callables like
-#: ``sympy.sympify`` — and each was checked to construct safely from
-#: attacker-chosen arguments (``Add``/``Mul``/``Pow`` sympify strictly,
-#: ``Symbol``/``Integer``/``Rational`` parse without evaluating; ``log``,
-#: whose ``Function.__new__`` *does* evaluate string arguments, goes
-#: through the guarded stand-in below instead).  Anything else — the
-#: classic ``os.system`` reduce — fails to resolve and the store reads as
-#: a cold start; :meth:`IncrementalAnalyzer.save_store` refuses to write a
-#: blob this vocabulary cannot load back.
-_STORE_ALLOWED_CLASSES = {
-    ("builtins", "frozenset"),
-    ("builtins", "set"),
-    ("fractions", "Fraction"),
-    ("repro.abstraction.symbolic_abstraction", "Inequation"),
-    ("repro.core.height_analysis", "BoundSymbols"),
-    ("repro.core.height_analysis", "HeightAnalysis"),
-    ("repro.core.summaries", "BoundedTerm"),
-    ("repro.core.summaries", "DepthBound"),
-    ("repro.core.summaries", "ProcedureSummary"),
-    ("repro.formulas.formula", "And"),
-    ("repro.formulas.formula", "Atom"),
-    ("repro.formulas.formula", "AtomKind"),
-    ("repro.formulas.formula", "Exists"),
-    ("repro.formulas.formula", "FalseFormula"),
-    ("repro.formulas.formula", "Or"),
-    ("repro.formulas.formula", "TrueFormula"),
-    ("repro.formulas.polynomial", "Monomial"),
-    ("repro.formulas.polynomial", "Polynomial"),
-    ("repro.formulas.symbols", "Symbol"),
-    ("repro.formulas.transition", "TransitionFormula"),
-    ("repro.recurrence.cfinite", "ClosedForm"),
-    ("repro.recurrence.exppoly", "ExpPoly"),
-    ("sympy.core.add", "Add"),
-    ("sympy.core.mul", "Mul"),
-    ("sympy.core.numbers", "Half"),
-    ("sympy.core.numbers", "Integer"),
-    ("sympy.core.numbers", "NegativeOne"),
-    ("sympy.core.numbers", "One"),
-    ("sympy.core.numbers", "Rational"),
-    ("sympy.core.numbers", "Zero"),
-    ("sympy.core.power", "Pow"),
-    ("sympy.core.symbol", "Symbol"),
-}
-
-
-class _GuardedLog(sympy.log):
-    """A pickle stand-in for ``sympy.log`` that refuses non-sympy arguments.
-
-    ``Function.__new__`` sympifies its arguments *non-strictly*, which
-    evaluates strings as Python — so allowing the real ``log`` class would
-    let a crafted REDUCE/NEWOBJ op execute code.  Legitimate blobs only
-    ever apply ``log`` to already-unpickled sympy expressions; anything
-    else is an attack and fails the load.
-    """
-
-    def __new__(cls, *args, **kwargs):
-        if not all(isinstance(arg, sympy.Basic) for arg in args):
-            raise pickle.UnpicklingError(
-                "log arguments in a snapshot must be sympy expressions"
-            )
-        return sympy.log.__new__(sympy.log, *args, **kwargs)
-
-
-class _GuardedMax(sympy.Max):
-    """A pickle stand-in for ``sympy.Max`` (clamped depth bounds).
-
-    Like ``log``, ``Max.__new__`` sympifies its arguments non-strictly, so
-    string arguments would be evaluated; restrict it to already-unpickled
-    sympy expressions.
-    """
-
-    def __new__(cls, *args, **kwargs):
-        if not all(isinstance(arg, sympy.Basic) for arg in args):
-            raise pickle.UnpicklingError(
-                "Max arguments in a snapshot must be sympy expressions"
-            )
-        return sympy.Max.__new__(sympy.Max, *args, **kwargs)
-
-
-_STORE_OVERRIDES = {
-    ("sympy.functions.elementary.exponential", "log"): _GuardedLog,
-    ("sympy.functions.elementary.miscellaneous", "Max"): _GuardedMax,
-}
 
 
 @dataclass(frozen=True)
@@ -291,160 +175,3 @@ class IncrementalAnalyzer:
     def clear(self) -> None:
         self._store.clear()
         self.last_report = IncrementalReport()
-
-    # ------------------------------------------------------------------ #
-    # Persistence (CacheStorage-backed, mirroring the polyhedra memo
-    # snapshot: fingerprint-guarded, merge-on-save, restricted unpickling)
-    # ------------------------------------------------------------------ #
-    def save_store(self, storage: "CacheStorage", fingerprint: str) -> int:
-        """Persist the component store into ``storage``; returns components.
-
-        An existing store with the same fingerprint is merged in first:
-        component records are pure functions of their keys, so merged
-        content is always consistent, and this analyzer's records win on
-        overlap.  (The read-merge-write itself is last-writer-wins between
-        *separate* pools sharing one cache directory — a pool's own workers
-        stop sequentially — so a concurrent save can drop the other pool's
-        components from the persisted copy; that costs a future warm start,
-        never correctness.)  The persisted store is bounded by
-        :attr:`capacity`, keeping the most recently contributed components,
-        so a long-lived shared directory cannot grow the blob — and every
-        future start-up's deserialization — without limit.  The saved
-        fresh-symbol high-water mark is the max over every contributor, so
-        any loader stays collision-free.  Write failures are swallowed — a
-        broken store must never sink an analysis run — and reported as 0.
-        """
-        if not self._store:
-            # Nothing to persist (e.g. a worker that only served cache
-            # hits): don't replace a useful store with an empty one.
-            return 0
-        merged_payload = _load_store_payload(storage, fingerprint)
-        components = {
-            key: (record.summaries, record.height_analyses)
-            for key, record in merged_payload.get("components", ())
-        }
-        for key, record in self._store.items():
-            # Re-insert so this analyzer's records count as the newest.
-            components.pop(key, None)
-            components[key] = (record.summaries, record.height_analyses)
-        if len(components) > self.capacity:
-            components = dict(list(components.items())[-self.capacity :])
-        payload = {
-            "schema": STORE_SCHEMA,
-            "fingerprint": fingerprint,
-            "fresh_counter": max(
-                fresh_counter(), int(merged_payload.get("fresh_counter", 0) or 0)
-            ),
-            "components": list(components.items()),
-        }
-        try:
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-            # Refuse to write a blob the restricted vocabulary cannot load
-            # back (a summary embedding an unenumerated sympy class would
-            # otherwise clobber a previously *loadable* store with one that
-            # every future start-up rejects wholesale).
-            restricted_loads(data, _STORE_ALLOWED_CLASSES, _STORE_OVERRIDES)
-            storage.write(STORE_NAME, data)
-        except Exception:
-            return 0
-        return len(components)
-
-    def load_store(self, storage: "CacheStorage", fingerprint: str) -> int:
-        """Absorb a persisted component store; returns components loaded.
-
-        Components already present locally are kept (they are at least as
-        fresh), absorption stops at :attr:`capacity` instead of evicting,
-        and a store written under a different fingerprint — different
-        analysis code — is ignored.  The fresh-symbol counter is advanced
-        past the saving process's high-water mark before any record is
-        installed.
-        """
-        payload = _load_store_payload(storage, fingerprint)
-        components = payload.get("components") or []
-        if not components:
-            return 0
-        advance_fresh_counter(payload.get("fresh_counter", 0))
-        loaded = 0
-        for key, record in components:
-            if len(self._store) >= self.capacity:
-                break
-            if key in self._store:
-                continue
-            self._store[key] = record
-            loaded += 1
-        return loaded
-
-
-def _load_store_payload(storage: "CacheStorage", fingerprint: str) -> dict:
-    """The persisted store payload, or ``{}`` when absent/stale/corrupt.
-
-    The result is *sanitized*, not just unpickled: ``components`` is a list
-    of ``(hashable key, _ComponentRecord)`` pairs and ``fresh_counter`` an
-    ``int``, with every malformed entry dropped.  A blob that unpickles
-    under the restricted vocabulary but carries broken field shapes must
-    degrade to a (partial) cold start, never raise — a worker loads the
-    store before its ready handshake, and an exception there would crash
-    every worker of a restarted service until the store is cleared.
-    """
-    try:
-        data = storage.read(STORE_NAME)
-    except Exception:
-        return {}
-    if data is None:
-        return {}
-    try:
-        payload = restricted_loads(data, _STORE_ALLOWED_CLASSES, _STORE_OVERRIDES)
-    except Exception:
-        # Truncated blob, incompatible pickle, or a class outside the
-        # allowed vocabulary: treat as a cold start.
-        return {}
-    if not isinstance(payload, dict):
-        return {}
-    if payload.get("schema") != STORE_SCHEMA:
-        return {}
-    if payload.get("fingerprint") != fingerprint:
-        return {}
-    components = payload.get("components")
-    cleaned: list[tuple] = []
-    if isinstance(components, (list, tuple)):
-        for entry in components:
-            try:
-                key, (summaries, height_analyses) = entry
-                hash(key)
-                cleaned.append(
-                    (
-                        key,
-                        _ComponentRecord(
-                            summaries=dict(summaries),
-                            height_analyses=dict(height_analyses),
-                        ),
-                    )
-                )
-            except Exception:
-                continue
-    try:
-        counter = int(payload.get("fresh_counter", 0) or 0)
-    except Exception:
-        counter = 0
-    return {
-        "schema": STORE_SCHEMA,
-        "fingerprint": fingerprint,
-        "fresh_counter": counter,
-        "components": cleaned,
-    }
-
-
-def store_stats(storage: "CacheStorage", fingerprint: str) -> dict[str, Any]:
-    """A JSON-ready description of the persisted store (for cache stats)."""
-    try:
-        size = storage.size_of(STORE_NAME)
-    except Exception:
-        size = 0
-    payload = _load_store_payload(storage, fingerprint) if size else {}
-    components = payload.get("components") or []
-    return {
-        "present": size > 0,
-        "bytes": size,
-        "components": len(components),
-        "procedures": sum(len(record.summaries) for _, record in components),
-    }

@@ -287,37 +287,10 @@ class WorkerProcess:
         self.connection.close()
 
 
-def _worker(
-    connection, task: AnalysisTask, options: ChoraOptions, memo_storage
-) -> None:
-    """Entry point of one batch worker process: run the task, reply once.
-
-    When ``memo_storage`` is given the fork warm-starts its polyhedral memo
-    tables from the persisted snapshot (written by warm-pool workers, see
-    :mod:`repro.polyhedra.cache`) before running: the tables are force-
-    cleared first so the fork is deterministic regardless of parent state,
-    and the task executes inside ``keep_warm`` so ``execute_task``'s
-    cold-per-task clearing keeps the loaded entries.  Memoized queries are
-    pure functions of their keys, so the snapshot changes latency, never
-    results.
-    """
+def _worker(connection, task: AnalysisTask, options: ChoraOptions) -> None:
+    """Entry point of one batch worker process: run the task, reply once."""
     try:
-        if memo_storage is None:
-            status, body = run_in_worker(task, options)
-        else:
-            from ..polyhedra.cache import clear_caches, keep_warm, load_snapshot
-            from .cache import code_fingerprint
-
-            clear_caches(force=True)
-            try:
-                load_snapshot(memo_storage, code_fingerprint())
-            except Exception:
-                # A broken snapshot store must never sink the task; the
-                # fork simply runs cold.
-                pass
-            with keep_warm():
-                status, body = run_in_worker(task, options)
-        send_reply(connection, status, body)
+        send_reply(connection, *run_in_worker(task, options))
     finally:
         connection.close()
 
@@ -343,14 +316,9 @@ class BatchEngine:
         is an *immediate* deadline — cache hits still serve, but no worker
         is ever spawned and every other task is reported as ``timeout``.
     cache:
-        A :class:`ResultCache`, or ``None`` to disable caching.  With a
-        cache, worker forks also warm-start their polyhedral memo tables
-        from the snapshot persisted in its ``memo`` namespace (written by
-        warm-pool runs); it closes most of the cold-start gap between
-        ``--engine pool`` and ``--engine warm`` without giving up per-task
-        process isolation.  Forks only *load*; merging back is the warm
-        pool's job (many short-lived forks racing on the snapshot would pay
-        more in pickling than they could ever save).
+        A :class:`ResultCache`, or ``None`` to disable caching.  The cache
+        only settles exact repeats; every task it misses runs cold in its
+        fork, with or without a cache.
     options:
         The :class:`ChoraOptions` every task is analysed under.
     """
@@ -366,7 +334,6 @@ class BatchEngine:
         self.timeout = timeout
         self.cache = cache
         self.options = options
-        self.memo_storage = cache.memo_storage() if cache is not None else None
         methods = multiprocessing.get_all_start_methods()
         # Fork shares the parent's warm module state with every worker and
         # keeps ad-hoc registered task kinds visible to them.
@@ -404,9 +371,7 @@ class BatchEngine:
                 while queue and len(running) < self.jobs:
                     index, task, key = queue.popleft()
                     started = time.monotonic()
-                    worker = WorkerProcess(
-                        self._context, _worker, task, self.options, self.memo_storage
-                    )
+                    worker = WorkerProcess(self._context, _worker, task, self.options)
                     running[index] = _Running(worker, task, key, started)
                 self._reap(running, finish)
         finally:

@@ -177,49 +177,6 @@ class ResultCache:
                 removed += 1
         return removed
 
-    # ------------------------------------------------------------------ #
-    # The polyhedral memo snapshot (persisted projection/LP memo tables)
-    # lives in a ``memo`` namespace of the same storage backend.  Warm
-    # service workers read and write it (see repro.service.pool); the
-    # methods below only surface it to ``repro cache stats|clear``.
-    # ------------------------------------------------------------------ #
-    def memo_storage(self) -> CacheStorage:
-        """The storage namespace holding the polyhedral memo snapshot."""
-        return self.storage.namespace("memo")
-
-    def memo_snapshot_stats(self) -> dict[str, Any]:
-        """Presence/size/per-table entry counts of the memo snapshot."""
-        from ..polyhedra.cache import snapshot_stats
-
-        return snapshot_stats(self.memo_storage(), code_fingerprint())
-
-    def clear_memo_snapshot(self) -> bool:
-        """Remove the memo snapshot; returns whether one existed."""
-        from ..polyhedra.cache import SNAPSHOT_NAME
-
-        return self.memo_storage().delete(SNAPSHOT_NAME)
-
-    # ------------------------------------------------------------------ #
-    # The persisted incremental summary store (per-SCC procedure summaries
-    # of the warm workers, see repro.core.incremental) lives in an
-    # ``incremental`` namespace of the same backend.
-    # ------------------------------------------------------------------ #
-    def incremental_storage(self) -> CacheStorage:
-        """The storage namespace holding the incremental summary store."""
-        return self.storage.namespace("incremental")
-
-    def incremental_store_stats(self) -> dict[str, Any]:
-        """Presence/size/component counts of the incremental summary store."""
-        from ..core.incremental import store_stats
-
-        return store_stats(self.incremental_storage(), code_fingerprint())
-
-    def clear_incremental_store(self) -> bool:
-        """Remove the incremental summary store; returns whether one existed."""
-        from ..core.incremental import STORE_NAME
-
-        return self.incremental_storage().delete(STORE_NAME)
-
     def stats(self) -> dict[str, Any]:
         """Entry count, total size, and per-suite breakdown of the cache.
 

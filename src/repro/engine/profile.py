@@ -155,14 +155,10 @@ def engine_comparison_entry(
 ) -> dict[str, Any]:
     """A perf entry comparing cold per-task analysis to warm-worker serving.
 
-    For every benchmark of ``suite`` four timings are recorded as rows:
+    For every benchmark of ``suite`` three timings are recorded as rows:
 
     * ``<name>/cold`` — one in-process :func:`execute_task` run starting
       from cold memo tables (what each forked batch worker pays);
-    * ``<name>/snapshot-cold`` — the same run after force-clearing the
-      tables and loading the persisted polyhedral memo snapshot the cold
-      runs accumulated (what an ``--engine pool`` fork pays when the
-      result cache is enabled, see :class:`~repro.engine.batch.BatchEngine`);
     * ``<name>/warm-first`` — the first request through a
       :class:`~repro.service.pool.WorkerPool` worker (builds the worker's
       incremental summary store);
@@ -172,24 +168,17 @@ def engine_comparison_entry(
 
     The entry is informational (CI records it as a non-gating artifact):
     absolute times differ per machine, but ``warm-repeat`` being far below
-    ``cold`` — and ``snapshot-cold`` sitting between them — is the
-    property ``repro serve`` and the snapshot exist for.
+    ``cold`` is the property ``repro serve`` exists for.
     """
     from ..core import ChoraOptions
-    from ..polyhedra.cache import clear_caches, keep_warm, load_snapshot, save_snapshot
+    from ..polyhedra.cache import clear_caches
     from ..service import WorkerPool
-    from .cache import code_fingerprint
-    from .storage import MemoryStorage
     from .suites import suite_tasks
     from .tasks import execute_task
 
     tasks = suite_tasks(suite, full)
     rows: list[dict[str, Any]] = []
-    totals = {"cold": 0.0, "snapshot_cold": 0.0, "warm_first": 0.0, "warm_repeat": 0.0}
-    # The snapshot a cold-with-snapshot fork would load: accumulated from
-    # this process's own cold runs, exactly as warm-pool workers persist it.
-    snapshot_storage = MemoryStorage()
-    fingerprint = code_fingerprint()
+    totals = {"cold": 0.0, "warm_first": 0.0, "warm_repeat": 0.0}
     # Exactly one worker: warmth is per-process, so a larger pool would
     # route repeat requests to workers that never saw the program and
     # record cold runs under the warm-repeat label.
@@ -199,17 +188,6 @@ def engine_comparison_entry(
             started = time.perf_counter()
             execute_task(task, ChoraOptions())
             cold = time.perf_counter() - started
-            # The cold run above left this process's memo tables warm; merge
-            # them into the snapshot, then replay the task as a snapshot-
-            # loading cold fork would run it (cleared tables + loaded
-            # snapshot, kept across execute_task's per-task clearing).
-            save_snapshot(snapshot_storage, fingerprint)
-            clear_caches(force=True)
-            load_snapshot(snapshot_storage, fingerprint)
-            with keep_warm():
-                started = time.perf_counter()
-                execute_task(task, ChoraOptions())
-                snapshot_cold = time.perf_counter() - started
             clear_caches(force=True)
             warm_first = pool.submit(task).wall_time
             warm_repeat = min(
@@ -217,26 +195,16 @@ def engine_comparison_entry(
             )
             rows.append({"name": f"{task.name}/cold", "seconds": round(cold, 5)})
             rows.append(
-                {
-                    "name": f"{task.name}/snapshot-cold",
-                    "seconds": round(snapshot_cold, 5),
-                }
-            )
-            rows.append(
                 {"name": f"{task.name}/warm-first", "seconds": round(warm_first, 5)}
             )
             rows.append(
                 {"name": f"{task.name}/warm-repeat", "seconds": round(warm_repeat, 5)}
             )
             totals["cold"] += cold
-            totals["snapshot_cold"] += snapshot_cold
             totals["warm_first"] += warm_first
             totals["warm_repeat"] += warm_repeat
     speedup = (
         totals["cold"] / totals["warm_repeat"] if totals["warm_repeat"] else None
-    )
-    snapshot_speedup = (
-        totals["cold"] / totals["snapshot_cold"] if totals["snapshot_cold"] else None
     )
     return {
         "kind": "engines",
@@ -248,13 +216,9 @@ def engine_comparison_entry(
         "rows": rows,
         "totals": {
             "cold": round(totals["cold"], 5),
-            "snapshot_cold": round(totals["snapshot_cold"], 5),
             "warm_first": round(totals["warm_first"], 5),
             "warm_repeat": round(totals["warm_repeat"], 5),
             "warm_over_cold_speedup": round(speedup, 2) if speedup else None,
-            "snapshot_over_cold_speedup": (
-                round(snapshot_speedup, 2) if snapshot_speedup else None
-            ),
         },
     }
 
@@ -407,8 +371,8 @@ def run_micro_benchmarks(repeats: int = 3) -> list[dict[str, Any]]:
     """Time every micro-benchmark (best of ``repeats``, caches cleared).
 
     The memo caches are force-cleared before every repetition — even inside
-    a ``keep_warm`` scope or a worker that loaded a persisted memo snapshot
-    — so the gate measures the cold algorithmic path, never a table lookup.
+    a ``keep_warm`` scope — so the gate measures the cold algorithmic path,
+    never a table lookup.
     """
     from ..polyhedra.cache import clear_caches
 

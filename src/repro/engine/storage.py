@@ -7,7 +7,9 @@ under opaque string names — so that a backend can be a local directory, a
 directory on a network file system shared by N machines (which is how
 ``repro bench --shard i/n`` turns N hosts into one batch: the cache key is
 host-independent, so every shard reads the others' results from the shared
-store), or an in-memory dict in tests.
+store), or an in-memory dict in tests.  A store holds result entries only:
+warm analysis state (memo tables, per-SCC summaries) never leaves the
+worker process that built it.
 
 Contract
 --------
@@ -54,22 +56,6 @@ class CacheStorage(ABC):
     @abstractmethod
     def location(self) -> str:
         """A human-readable description of where entries live."""
-
-    def size_of(self, name: str) -> int:
-        """Stored size of ``name`` in bytes (0 when absent)."""
-        data = self.read(name)
-        return len(data) if data is not None else 0
-
-    @abstractmethod
-    def namespace(self, name: str) -> "CacheStorage":
-        """A sub-store of this backend under its own key space.
-
-        Independent caches — analysis results, the polyhedral memo snapshot
-        and the incremental summary store — share one backend without key
-        collisions by writing through namespaces.  A namespace's entries
-        must stay out of the parent's :meth:`names`, and repeated calls
-        with one name must address the same entries.
-        """
 
 
 class DirectoryStorage(CacheStorage):
@@ -128,25 +114,12 @@ class DirectoryStorage(CacheStorage):
     def location(self) -> str:
         return str(self.directory)
 
-    def size_of(self, name: str) -> int:
-        try:
-            return self._path(name).stat().st_size
-        except OSError:
-            return 0
-
-    def namespace(self, name: str) -> CacheStorage:
-        # A subdirectory rather than a name prefix: ``names()`` globs are
-        # non-recursive, so namespaced entries stay invisible to result-cache
-        # scans, and the entry names stay portable filenames.
-        return DirectoryStorage(self.directory / name)
-
 
 class MemoryStorage(CacheStorage):
     """A process-local dict backend (tests, ephemeral service caches)."""
 
     def __init__(self) -> None:
         self._entries: dict[str, bytes] = {}
-        self._namespaces: dict[str, "MemoryStorage"] = {}
 
     def read(self, name: str) -> Optional[bytes]:
         return self._entries.get(name)
@@ -162,12 +135,3 @@ class MemoryStorage(CacheStorage):
 
     def location(self) -> str:
         return "<memory>"
-
-    def namespace(self, name: str) -> CacheStorage:
-        # A child store (mirroring DirectoryStorage's subdirectory), so
-        # namespaced entries never appear in this store's own listing and
-        # repeated calls share one namespace.
-        store = self._namespaces.get(name)
-        if store is None:
-            store = self._namespaces[name] = MemoryStorage()
-        return store

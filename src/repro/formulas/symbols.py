@@ -20,7 +20,8 @@ Symbols are dictionary keys everywhere (polynomial terms, constraint rows,
 memo keys), so each one computes its hash once, at construction.  The cached
 hash is never pickled: a ``str`` hash holds only under the ``PYTHONHASHSEED``
 of the process that computed it, and symbols travel through pickles to other
-processes (the memo snapshot, the incremental store, the batch result pipe).
+processes (the pipes between the batch engine or the warm pool and their
+workers).
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "primed",
     "unprimed",
     "fresh",
-    "fresh_counter",
-    "advance_fresh_counter",
     "preserved_fresh_counter",
     "reset_fresh_counter",
     "RETURN_VARIABLE",
@@ -144,23 +143,6 @@ def reset_fresh_counter() -> None:
     """Reset the fresh-symbol counter (for reproducible tests only)."""
     global _FRESH_COUNTER
     _FRESH_COUNTER = 0
-
-
-def fresh_counter() -> int:
-    """The current value of the fresh-symbol counter."""
-    return _FRESH_COUNTER
-
-
-def advance_fresh_counter(minimum: int) -> None:
-    """Ensure future :func:`fresh` symbols have indices above ``minimum``.
-
-    Needed when structures containing fresh symbols are deserialized from
-    another process (the persisted incremental summary store): this process
-    must never mint a symbol that collides with one the loaded structures
-    already use, or two distinct auxiliaries would be conflated.
-    """
-    global _FRESH_COUNTER
-    _FRESH_COUNTER = max(_FRESH_COUNTER, int(minimum))
 
 
 @contextmanager

@@ -56,8 +56,8 @@ BLOWUP_LIMIT = 600
 #: constantly (the hull re-eliminates equal lifted systems whenever a join
 #: is revisited, and fresh-symbol indices never hit a key twice without the
 #: canonical renaming).
-_PROJECTION_CACHE = memo.register_cache("fm.eliminate", persistent=True)
-_MINIMIZE_CACHE = memo.register_cache("fm.minimize", persistent=True)
+_PROJECTION_CACHE = memo.register_cache("fm.eliminate")
+_MINIMIZE_CACHE = memo.register_cache("fm.minimize")
 
 
 class _Tracked:

@@ -43,8 +43,8 @@ EXACT_FIRST_LIMIT = 12
 #: Memo tables for the two soundness-critical (and frequently repeated)
 #: queries.  Both are pure functions of the canonicalised constraint system,
 #: so the tables survive across polyhedra, hull folds and minimization passes.
-_SAT_CACHE = cache.register_cache("lp.is_satisfiable", persistent=True)
-_ENTAILS_CACHE = cache.register_cache("lp.entails", persistent=True)
+_SAT_CACHE = cache.register_cache("lp.is_satisfiable")
+_ENTAILS_CACHE = cache.register_cache("lp.entails")
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,10 @@ payload that cannot cross the pipe, yields an ``error`` result and the
 worker stays (its state is still consistent — warm tables are
 content-keyed and never partially updated).
 
-When the pool has a result cache, its storage backend also carries two
-persisted warm-state blobs: a snapshot of the polyhedral memo tables (see
-:func:`repro.polyhedra.cache.save_snapshot`) and the incremental summary
-store (:meth:`repro.core.incremental.IncrementalAnalyzer.save_store`).
-Every worker loads both when it starts — so a restarted ``repro serve`` or
-a second ``repro bench --engine warm`` begins with the previous run's
-projection/LP memo *and* answers its first repeated request by splicing
-every cached component — and merges its own state back on clean shutdown.
-Workers killed on the timeout/crash path skip the save; both blobs are a
-best-effort warm start, never a correctness dependency.
+Warm state lives exactly as long as the worker that built it: nothing is
+written to disk, so a restarted ``repro serve`` starts with empty memo
+tables and an empty summary store, and answers exact repeats from the
+result cache alone.
 """
 
 from __future__ import annotations
@@ -60,22 +54,18 @@ from ..engine.tasks import AnalysisTask, set_program_analyzer
 __all__ = ["WorkerPool", "PoolStats"]
 
 
-def _worker_main(
-    connection, options: ChoraOptions, memo_storage, store_storage
-) -> None:
+def _worker_main(connection, options: ChoraOptions) -> None:
     """Entry point of one warm worker: serve requests until told to stop."""
     import signal
 
     from ..core import IncrementalAnalyzer, IncrementalReport
-    from ..engine.cache import code_fingerprint
-    from ..polyhedra.cache import keep_warm, load_snapshot, save_snapshot
+    from ..polyhedra.cache import keep_warm
 
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group — the parent *and* every forked worker.  The worker must not
-    # die from it mid-``recv``: that skips the clean-shutdown save of the
-    # memo snapshot and incremental store the parent is about to request.
-    # Lifecycle belongs to the parent alone (the ``None`` stop message,
-    # escalating to SIGTERM via ``_WarmWorker.kill``).
+    # die from it mid-request: its lifecycle belongs to the parent alone
+    # (the ``None`` stop message, escalating to SIGTERM via
+    # ``_WarmWorker.kill``), which lets it finish the request in hand.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
@@ -84,29 +74,10 @@ def _worker_main(
     analyzer = IncrementalAnalyzer()
     previous = set_program_analyzer(analyzer.analyze)
     requests = 0
-    loaded = 0
-    store_loaded = 0
-    # Both loads run before the ready handshake; nothing a persisted blob
-    # contains may crash the worker here (every restarted worker would die
-    # the same way until the store is cleared) — degrade to a cold start.
-    if memo_storage is not None:
-        try:
-            loaded = load_snapshot(memo_storage, code_fingerprint())
-        except Exception:
-            loaded = 0
-    if store_storage is not None:
-        # Restore the previous service's per-SCC summaries, so the first
-        # repeated request after a restart splices every component.
-        try:
-            store_loaded = analyzer.load_store(store_storage, code_fingerprint())
-        except Exception:
-            store_loaded = 0
     try:
-        # Tell the parent start-up is done (imports and snapshots paid),
-        # so request deadlines measure analysis time, not spawn time.
-        connection.send(
-            ("ready", None, {"memo_loaded": loaded, "store_loaded": store_loaded})
-        )
+        # Tell the parent start-up is done (imports paid), so request
+        # deadlines measure analysis time, not spawn time.
+        connection.send(("ready", None))
         with keep_warm():
             while True:
                 try:
@@ -114,13 +85,6 @@ def _worker_main(
                 except (EOFError, OSError):
                     break
                 if message is None:
-                    # Clean shutdown: merge this worker's memo tables and
-                    # component store into the shared persisted copies for
-                    # the next pool to load.
-                    if memo_storage is not None:
-                        save_snapshot(memo_storage, code_fingerprint())
-                    if store_storage is not None:
-                        analyzer.save_store(store_storage, code_fingerprint())
                     break
                 requests += 1
                 started = time.perf_counter()
@@ -143,23 +107,19 @@ def _worker_main(
 class _WarmWorker(WorkerProcess):
     """Parent-side handle of one warm worker process."""
 
-    __slots__ = ("ready", "memo_loaded", "store_loaded")
+    __slots__ = ("ready",)
 
     #: Ceiling on worker start-up (interpreter + sympy import for spawned
     #: replacements); forked workers signal readiness in milliseconds.
     STARTUP_TIMEOUT = 300.0
 
-    #: Grace period for a clean stop: the worker may be merging and writing
-    #: its memo snapshot, which must not be cut short by an impatient kill.
+    #: Grace period for a clean stop: a worker told to stop exits on its
+    #: own, and only one that has not exited by then is killed.
     SHUTDOWN_GRACE = 30.0
 
-    def __init__(self, context, options: ChoraOptions, memo_storage, store_storage):
-        super().__init__(
-            context, _worker_main, options, memo_storage, store_storage, duplex=True
-        )
+    def __init__(self, context, options: ChoraOptions):
+        super().__init__(context, _worker_main, options, duplex=True)
         self.ready = False
-        self.memo_loaded = 0
-        self.store_loaded = 0
 
     def _await_ready(self) -> None:
         """Consume the start-up handshake (once per worker lifetime)."""
@@ -171,9 +131,6 @@ class _WarmWorker(WorkerProcess):
             raise ConnectionError(f"start-up failed: {error}") from error
         if not (isinstance(message, tuple) and message[0] == "ready"):
             raise ConnectionError(f"unexpected start-up message {message!r}")
-        meta = message[2] if len(message) > 2 and isinstance(message[2], dict) else {}
-        self.memo_loaded = int(meta.get("memo_loaded", 0) or 0)
-        self.store_loaded = int(meta.get("store_loaded", 0) or 0)
         self.ready = True
 
     def request(self, task: AnalysisTask, timeout: Optional[float]):
@@ -206,9 +163,8 @@ class _WarmWorker(WorkerProcess):
     def stop(self) -> None:
         """Ask the worker to exit cleanly; escalate if it does not.
 
-        A cleanly stopping worker saves its memo snapshot first, so the
-        join waits :data:`SHUTDOWN_GRACE` (a worker that exits immediately
-        costs nothing; one that hangs is still killed).
+        The join waits up to :data:`SHUTDOWN_GRACE` (a worker that exits
+        immediately costs nothing; one that hangs is still killed).
         """
         try:
             self.connection.send(None)
@@ -277,14 +233,6 @@ class WorkerPool:
         self.timeout = timeout
         self.options = options
         self.cache = cache
-        # The polyhedral memo snapshot and the incremental summary store
-        # live in their own namespaces of the result cache's storage
-        # backend: workers load both on start and merge their state back on
-        # clean shutdown, so warmth survives restarts.
-        self.memo_storage = cache.memo_storage() if cache is not None else None
-        self.incremental_storage = (
-            cache.incremental_storage() if cache is not None else None
-        )
         self.stats = PoolStats()
         methods = multiprocessing.get_all_start_methods()
         # Fork shares the parent's warm module state (sympy, parsed code)
@@ -301,12 +249,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------ #
     def _add_worker(self, context=None) -> None:
-        worker = _WarmWorker(
-            context or self._context,
-            self.options,
-            self.memo_storage,
-            self.incremental_storage,
-        )
+        worker = _WarmWorker(context or self._context, self.options)
         self._all.append(worker)
         self._idle.put(worker)
 
@@ -473,12 +416,6 @@ class WorkerPool:
         with self._stats_lock:
             snapshot = self.stats.to_dict()
         snapshot["workers"] = self.workers
-        snapshot["memo_snapshot_entries_loaded"] = sum(
-            worker.memo_loaded for worker in self._all
-        )
-        snapshot["incremental_store_components_loaded"] = sum(
-            worker.store_loaded for worker in self._all
-        )
         return snapshot
 
     def close(self) -> None:

@@ -1030,8 +1030,9 @@ class AnalysisServer:
         Lint findings — including parse errors (``R000``) — are the
         *content* of the answer, not request failures, so only a malformed
         request body earns a non-2xx envelope.  Linting is front-end-only
-        work (no analysis), so it runs on an executor thread without taking
-        a worker-pool admission slot.
+        work (no analysis), so it takes no admission slot and runs on the
+        loop's default executor: the admission executor's threads may all
+        be waiting on analyses.
         """
         try:
             source, severity, disabled = lint_request(
@@ -1039,8 +1040,8 @@ class AnalysisServer:
             )
         except ValueError as error:
             raise _HttpError(400, "bad_request", str(error)) from None
-        diagnostics = await asyncio.get_running_loop().run_in_executor(
-            self._executor, self._lint_blocking, source, severity, disabled
+        diagnostics = await asyncio.to_thread(
+            self._lint_blocking, source, severity, disabled
         )
         counts: dict[str, int] = {}
         for diagnostic in diagnostics:

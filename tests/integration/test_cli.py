@@ -121,31 +121,6 @@ class TestFastCommands:
         assert excinfo.value.code == 2
         assert "timeout must be >= 0" in capsys.readouterr().err
 
-    def test_cache_stats_reports_memo_snapshot(self, capsys, tmp_path):
-        from repro.engine import ResultCache
-        from repro.engine.cache import code_fingerprint
-        from repro.polyhedra import cache as memo
-
-        code, out, _ = run_cli(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert "polyhedra memo snapshot: none" in out
-
-        cache = ResultCache(tmp_path)
-        memo.clear_caches(force=True)
-        memo.register_cache("lp.entails").lookup(("k",), lambda: True)
-        memo.save_snapshot(cache.memo_storage(), code_fingerprint())
-        memo.clear_caches(force=True)
-        code, out, _ = run_cli(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert "polyhedra memo snapshot:" in out
-        assert "lp.entails: 1" in out
-
-        code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert "memo snapshot" in out
-        code, out, _ = run_cli(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
-        assert "polyhedra memo snapshot: none" in out
-
     def test_module_entry_point(self, tmp_path):
         src = Path(__file__).resolve().parents[2] / "src"
         environment = dict(os.environ)

@@ -4,8 +4,8 @@ Covers the tentpole acceptance properties: warm workers answer repeated
 requests from spliced summaries (measurably below a cold run), results
 agree with the cold engine, failures replace workers without sinking the
 service, ``POST /v1/batch`` serves whole suites bit-identically to
-``repro bench``, the incremental summary store survives a clean service
-restart, and ``repro bench --engine warm`` / ``repro batch`` /
+``repro bench``, warm state never reaches the disk, and
+``repro bench --engine warm`` / ``repro batch`` /
 ``repro loadtest`` / ``--shard`` round-trip through the CLI.  The asyncio
 front-end's SLO machinery has its own classes below: the ``/v1`` route
 aliasing and error envelope (``TestV1Api``), bounded admission
@@ -208,26 +208,16 @@ class TestWorkerPool:
         assert stats["restarts"] == 0
         assert stats["timeouts"] == 1
 
-    def test_memo_snapshot_survives_a_pool_restart(self, tmp_path):
-        from repro.polyhedra.cache import clear_caches
-
-        # Forked workers inherit this process's memo tables; start them
-        # empty so the snapshot accounting below is exact.
-        clear_caches(force=True)
-        task = AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")
-        cache = ResultCache(tmp_path)
-        with WorkerPool(workers=1, cache=cache) as pool:
+    def test_a_cached_pool_writes_only_result_entries(self, tmp_path):
+        """Warm state stays in the workers' memory: a pool that served a
+        miss and closed leaves nothing on disk but result-cache entries."""
+        task = AnalysisTask(name="toy", source=CHAIN, kind="assertion")
+        with WorkerPool(workers=1, cache=ResultCache(tmp_path)) as pool:
             assert pool.submit(task).outcome == "ok"
-        stats = cache.memo_snapshot_stats()
-        assert stats["present"] and stats["entries"] > 0
-        # A fresh pool (a service restart) loads the persisted memo tables;
-        # a distinct program keeps the request off the result-cache path so
-        # a worker is actually engaged.
-        other = AnalysisTask(name="toy2", source=CHAIN, kind="assertion")
-        with WorkerPool(workers=1, cache=cache) as pool:
-            assert pool.submit(other).outcome == "ok"
-            loaded = pool.stats_dict()["memo_snapshot_entries_loaded"]
-        assert loaded == stats["entries"]
+        written = sorted(tmp_path.rglob("*"))
+        assert written
+        for path in written:
+            assert path.parent == tmp_path and path.suffix == ".json", path
 
     def test_run_preserves_task_order(self):
         tasks = [
@@ -264,8 +254,8 @@ class TestWorkerPool:
 
     def test_workers_ignore_sigint(self):
         """A terminal Ctrl-C signals the whole foreground process group;
-        workers dying from it would skip the clean-shutdown save of the
-        memo snapshot and incremental store (regression: they used to)."""
+        a worker's lifecycle belongs to the parent, so workers must not die
+        from it mid-request (regression: they used to)."""
         import pathlib
         import signal
 
@@ -285,34 +275,6 @@ class TestWorkerPool:
             line = next(l for l in status.splitlines() if l.startswith("SigIgn"))
             ignored = int(line.split()[1], 16)
         assert ignored & (1 << (signal.SIGINT - 1))
-
-    def test_incremental_store_survives_a_pool_restart(self, tmp_path):
-        """Tentpole: a restarted service splices every component on its
-        first repeated request, from the persisted incremental store."""
-        cache = ResultCache(tmp_path)
-        with WorkerPool(workers=1, cache=cache) as pool:
-            assert (
-                pool.submit(
-                    AnalysisTask(name="v1", source=CHAIN, kind="assertion")
-                ).outcome
-                == "ok"
-            )
-            assert pool.stats_dict()["procedures_reused"] == 0
-        stats = cache.incremental_store_stats()
-        assert stats["present"] and stats["components"] == 3
-        # A fresh pool (a service restart); the same program under a
-        # different kind misses the result cache, so a worker actually
-        # runs — and splices every component from the restored store.
-        with WorkerPool(workers=1, cache=cache) as pool:
-            result, meta = pool.submit_with_meta(
-                AnalysisTask(name="v1", source=CHAIN, kind="analyze")
-            )
-            counters = pool.stats_dict()
-        assert result.outcome == "ok"
-        assert counters["incremental_store_components_loaded"] == 3
-        assert counters["procedures_reused"] == 3
-        assert meta["incremental"]["analyzed"] == []
-        assert set(meta["incremental"]["reused"]) == {"leaf", "mid", "main"}
 
 
 class TestAnalysisServer:
@@ -702,8 +664,9 @@ class TestBackpressure:
             _stop_server(server, thread)
 
     def test_non_admission_routes_answer_while_saturated(self):
-        """healthz/metrics bypass admission: the SLO surface stays
-        observable exactly when the service is overloaded."""
+        """healthz/metrics/lint bypass admission: the SLO surface stays
+        observable, and lint answers, exactly when the service is
+        overloaded."""
         pool = WorkerPool(workers=1)
         server, thread = _start_server(pool, backlog=0)
         host, port = server.address
@@ -714,7 +677,7 @@ class TestBackpressure:
                     {
                         "source": "ignored",
                         "kind": "service-sleep",
-                        "params": {"seconds": 2},
+                        "params": {"seconds": 3},
                     }
                 ),
                 daemon=True,
@@ -728,6 +691,11 @@ class TestBackpressure:
                     time.sleep(0.02)
                 assert client.healthz().document["status"] == "ok"
                 assert client.metrics().document["pool"]["workers"] == 1
+                # Lint takes no admission slot, so it must not wait for the
+                # analysis holding the only one.
+                linted = client.request("POST", "lint", {"source": TRIVIAL})
+                assert linted.document["ok"] is True
+                assert client.metrics().document["queue"]["in_flight"] == 1
             occupied.join(30)
         finally:
             _stop_server(server, thread)
@@ -1045,61 +1013,6 @@ class TestServeBanner:
         assert routes == [
             f"{method} {name}" for name, method in AnalysisServer.ROUTES.items()
         ]
-
-
-class TestServiceRestart:
-    def _request(self, server, path, document):
-        host, port = server.address
-        request = urllib.request.Request(
-            f"http://{host}:{port}{path}",
-            data=json.dumps(document).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=600) as response:
-            return json.loads(response.read())
-
-    def _pool_stats(self, server):
-        host, port = server.address
-        with urllib.request.urlopen(
-            f"http://{host}:{port}/v1/metrics", timeout=30
-        ) as response:
-            return json.loads(response.read())["pool"]
-
-    def test_restarted_service_splices_on_its_first_repeated_request(
-        self, tmp_path
-    ):
-        """Acceptance: serve -> stop cleanly -> serve -> the first repeated
-        request splices every component, visible in /metrics."""
-        cache = ResultCache(tmp_path)
-
-        server = AnalysisServer(WorkerPool(workers=1, cache=cache), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        record = self._request(server, "/v1/analyze", {"source": CHAIN, "kind": "assertion"})
-        assert record["outcome"] == "ok"
-        assert self._pool_stats(server)["procedures_reused"] == 0
-        server.shutdown()
-        server.close()  # clean stop: workers persist their stores
-        thread.join(5)
-
-        server = AnalysisServer(WorkerPool(workers=1, cache=cache), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            # Same program, different kind: misses the result cache, so the
-            # restarted worker runs — and splices everything it restored.
-            record = self._request(
-                server, "/v1/analyze", {"source": CHAIN, "kind": "analyze"}
-            )
-            assert record["outcome"] == "ok"
-            stats = self._pool_stats(server)
-            assert stats["incremental_store_components_loaded"] == 3
-            assert stats["procedures_reused"] == 3
-            assert stats["procedures_analyzed"] == 0
-        finally:
-            server.shutdown()
-            server.close()
-            thread.join(5)
 
 
 class TestBatchCli:

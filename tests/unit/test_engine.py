@@ -337,45 +337,6 @@ class TestNoSilentlyShrunkenReports:
         assert totals["total"] == len(tasks)
 
 
-class TestSnapshotAwareForks:
-    def _warm_snapshot(self, cache):
-        """Persist a memo snapshot the way a warm-pool worker would."""
-        from repro.engine.cache import code_fingerprint
-        from repro.polyhedra.cache import clear_caches, save_snapshot
-
-        clear_caches(force=True)
-        execute_task(
-            AnalysisTask(name="warm", source=TRIVIAL, kind="assertion"),
-            ChoraOptions(),
-        )
-        saved = save_snapshot(cache.memo_storage(), code_fingerprint())
-        clear_caches(force=True)
-        return saved
-
-    def test_memo_snapshot_defaults_to_the_cache_presence(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert BatchEngine(cache=cache).memo_storage is not None
-        assert BatchEngine(cache=None).memo_storage is None
-
-    def test_snapshot_fork_matches_the_cold_fork_bitwise(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert self._warm_snapshot(cache) > 0
-        # "analyze" kind: a fresh cache key, so a worker actually runs.
-        task = AnalysisTask(name="toy", source=TRIVIAL, kind="analyze")
-        cold = BatchEngine(cache=None).run([task])[0]
-        warm = BatchEngine(cache=cache).run([task])[0]
-        assert warm.outcome == cold.outcome == "ok"
-        assert not warm.cache_hit
-        assert dict(warm.payload) == dict(cold.payload)
-
-    def test_a_broken_snapshot_store_never_sinks_the_task(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.memo_storage().write("polyhedra-memo", b"not a snapshot at all")
-        task = AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")
-        result = BatchEngine(cache=cache).run([task])[0]
-        assert result.outcome == "ok"
-
-
 class TestBatchResultRecords:
     def test_from_dict_round_trips(self):
         task = AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")

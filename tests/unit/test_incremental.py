@@ -7,17 +7,12 @@ analyzer re-runs exactly the changed cone while producing verdicts
 identical to a cold :func:`analyze_program`.
 """
 
-import pickle
-
-
 from repro.core import (
     ChoraOptions,
     IncrementalAnalyzer,
     analyze_program,
     check_assertions,
 )
-from repro.core.incremental import STORE_NAME, STORE_SCHEMA, store_stats
-from repro.engine.storage import MemoryStorage
 from repro.lang import parse_program, procedure_fingerprints, fingerprint_cone
 
 #: A three-level call chain plus a procedure off to the side: editing ``mid``
@@ -131,226 +126,6 @@ class TestIncrementalAnalyzer:
             source = CHAIN.replace("return n + 1;", f"return n + {offset + 1};")
             analyzer.analyze(parse_program(source))
         assert analyzer.stats()["components"] <= 2
-
-
-#: A recursive program, so persisted summaries carry closed-form bounds
-#: (sympy expression trees) through the restricted unpickler.
-RECURSIVE = """
-int work(int n) { if (n <= 0) { return 0; } return work(n - 1) + 1; }
-int main(int n) { assume(n >= 0); int r = work(n); assert(r >= 0); return r; }
-"""
-
-
-class TestPersistentStore:
-    def _populated(self, source=CHAIN):
-        analyzer = IncrementalAnalyzer()
-        analyzer.analyze(parse_program(source))
-        return analyzer
-
-    def test_save_load_round_trip_splices_everything(self):
-        storage = MemoryStorage()
-        saved = self._populated().save_store(storage, "fp")
-        assert saved == 4  # one component per procedure of CHAIN
-        restored = IncrementalAnalyzer()
-        assert restored.load_store(storage, "fp") == 4
-        restored.analyze(parse_program(CHAIN))
-        assert restored.last_report.analyzed == ()
-        assert set(restored.last_report.reused) == {"side", "leaf", "mid", "main"}
-
-    def test_restored_recursive_summaries_match_cold_verdicts(self):
-        options = ChoraOptions()
-        storage = MemoryStorage()
-        self._populated(RECURSIVE).save_store(storage, "fp")
-        restored = IncrementalAnalyzer()
-        assert restored.load_store(storage, "fp") > 0
-        warm = restored.analyze(parse_program(RECURSIVE), options)
-        assert restored.last_report.analyzed == ()
-        cold = analyze_program(parse_program(RECURSIVE), options)
-        warm_outcomes = [
-            (o.site.procedure, o.proved)
-            for o in check_assertions(warm, options.abstraction)
-        ]
-        cold_outcomes = [
-            (o.site.procedure, o.proved)
-            for o in check_assertions(cold, options.abstraction)
-        ]
-        assert warm_outcomes == cold_outcomes
-
-    def test_different_fingerprint_reads_as_cold_start(self):
-        storage = MemoryStorage()
-        self._populated().save_store(storage, "fp")
-        assert IncrementalAnalyzer().load_store(storage, "other-code") == 0
-        assert store_stats(storage, "other-code")["components"] == 0
-
-    def test_corrupt_store_reads_as_cold_start(self):
-        storage = MemoryStorage()
-        storage.write(STORE_NAME, b"\x80\x05 definitely not a store")
-        assert IncrementalAnalyzer().load_store(storage, "fp") == 0
-
-    def test_malformed_but_well_pickled_fields_degrade_not_raise(self):
-        """Regression: a blob that unpickles under the restricted
-        vocabulary but carries broken field shapes must degrade to a
-        (partial) cold start — a raise here would crash every worker of a
-        restarted service before its ready handshake."""
-        good = self._populated(RECURSIVE)
-        good_components = [
-            (key, (record.summaries, record.height_analyses))
-            for key, record in good._store.items()
-        ]
-        storage = MemoryStorage()
-        payload = {
-            "schema": STORE_SCHEMA,
-            "fingerprint": "fp",
-            "fresh_counter": "not-a-number",
-            "components": [
-                "not-a-pair",
-                (["unhashable", "key"], ({}, {})),
-                (("k1",), "not-a-record-tuple"),
-                (("k2",), ({}, {}, "three-elements")),
-                (("k3",), (5, {})),
-            ]
-            + good_components,
-        }
-        storage.write(STORE_NAME, pickle.dumps(payload))
-        restored = IncrementalAnalyzer()
-        # Every malformed entry is dropped; the well-formed ones load.
-        assert restored.load_store(storage, "fp") == len(good_components)
-        assert store_stats(storage, "fp")["components"] == len(good_components)
-        # And save_store over the damaged blob must not raise either.
-        assert self._populated(CHAIN).save_store(storage, "fp") > 0
-
-    def test_disallowed_class_is_rejected_not_executed(self, tmp_path):
-        sentinel = tmp_path / "pwned"
-
-        class Evil:
-            def __reduce__(self):
-                import os
-
-                return (os.system, (f"touch {sentinel}",))
-
-        storage = MemoryStorage()
-        payload = {
-            "schema": STORE_SCHEMA,
-            "fingerprint": "fp",
-            "fresh_counter": 0,
-            "components": [(("k",), ({"p": Evil()}, {}))],
-        }
-        storage.write(STORE_NAME, pickle.dumps(payload))
-        assert IncrementalAnalyzer().load_store(storage, "fp") == 0
-        assert not sentinel.exists()
-
-    def test_sympy_eval_callables_cannot_be_abused(self, tmp_path):
-        """The sympy vocabulary is enumerated per class precisely because a
-        module-prefix allowlist lets a REDUCE op call eval-style callables:
-        ``sympy.sympify`` evaluates its string argument, and so does
-        ``sympy.log``'s constructor (hence its guarded stand-in)."""
-        sentinel = tmp_path / "pwned"
-        command = f"__import__('os').system('touch {sentinel}')"
-        attacks = [
-            # GLOBAL sympy.core.sympify sympify; REDUCE with an evil string.
-            b"csympy.core.sympify\nsympify\n(S'" + command.encode() + b"'\ntR.",
-            # GLOBAL log (an *allowed* name, via its guarded stand-in);
-            # REDUCE with a string argument must be refused, not sympified.
-            b"csympy.functions.elementary.exponential\nlog\n(S'"
-            + command.encode()
-            + b"'\ntR.",
-        ]
-        for blob in attacks:
-            storage = MemoryStorage()
-            storage.write(STORE_NAME, blob)
-            assert IncrementalAnalyzer().load_store(storage, "fp") == 0
-            assert not sentinel.exists()
-
-    def test_log_bearing_summaries_round_trip_through_the_guard(self):
-        """A program whose closed-form bounds embed ``log`` (mergesort-style
-        halving recursion) must still persist and restore — the guarded
-        ``log`` stand-in accepts legitimate sympy arguments."""
-        from repro.benchlib.suites import get_suite
-
-        source = get_suite("table1").entry("mergesort").source
-        analyzer = IncrementalAnalyzer()
-        analyzer.analyze(parse_program(source))
-        storage = MemoryStorage()
-        saved = analyzer.save_store(storage, "fp")
-        assert saved > 0
-        blob = storage.read(STORE_NAME)
-        assert blob is not None and b"log" in blob  # the guard is exercised
-        restored = IncrementalAnalyzer()
-        assert restored.load_store(storage, "fp") == saved
-        restored.analyze(parse_program(source))
-        assert restored.last_report.analyzed == ()
-
-    def test_save_merges_the_existing_store(self):
-        storage = MemoryStorage()
-        self._populated(CHAIN).save_store(storage, "fp")
-        self._populated(RECURSIVE).save_store(storage, "fp")
-        restored = IncrementalAnalyzer()
-        loaded = restored.load_store(storage, "fp")
-        restored.analyze(parse_program(CHAIN))
-        assert restored.last_report.analyzed == ()
-        restored.analyze(parse_program(RECURSIVE))
-        assert restored.last_report.analyzed == ()
-        assert loaded == restored.stats()["components"]
-
-    def test_persisted_store_is_bounded_by_capacity(self):
-        """Regression: merge-on-save used to keep every component ever
-        seen, growing the blob (and every start-up's deserialization)
-        without bound on a long-lived shared cache directory."""
-        storage = MemoryStorage()
-        for offset in range(4):
-            source = CHAIN.replace("return n + 1;", f"return n + {offset + 1};")
-            analyzer = IncrementalAnalyzer(capacity=3)
-            analyzer.analyze(parse_program(source))
-            analyzer.save_store(storage, "fp")
-        assert store_stats(storage, "fp")["components"] == 3
-        # The newest contributions survive the trim: the last-saved
-        # program still splices its three persisted components (the
-        # fourth was evicted by the in-memory FIFO before the save).
-        restored = IncrementalAnalyzer()
-        assert restored.load_store(storage, "fp") == 3
-        restored.analyze(
-            parse_program(CHAIN.replace("return n + 1;", "return n + 4;"))
-        )
-        assert len(restored.last_report.reused) == 3
-        assert len(restored.last_report.analyzed) == 1
-
-    def test_load_respects_capacity_without_evicting(self):
-        storage = MemoryStorage()
-        self._populated().save_store(storage, "fp")
-        small = IncrementalAnalyzer(capacity=2)
-        assert small.load_store(storage, "fp") == 2
-        assert small.stats()["components"] == 2
-
-    def test_empty_analyzer_does_not_clobber_a_useful_store(self):
-        storage = MemoryStorage()
-        self._populated().save_store(storage, "fp")
-        before = storage.read(STORE_NAME)
-        assert IncrementalAnalyzer().save_store(storage, "fp") == 0
-        assert storage.read(STORE_NAME) == before
-
-    def test_load_advances_the_fresh_symbol_counter(self):
-        from repro.formulas.symbols import fresh_counter
-
-        storage = MemoryStorage()
-        self._populated(RECURSIVE).save_store(storage, "fp")
-        payload = pickle.loads(storage.read(STORE_NAME))
-        assert payload["fresh_counter"] > 0
-        IncrementalAnalyzer().load_store(storage, "fp")
-        # New fresh symbols can never collide with restored summaries'.
-        assert fresh_counter() >= payload["fresh_counter"]
-
-    def test_store_stats_shape(self):
-        storage = MemoryStorage()
-        assert store_stats(storage, "fp") == {
-            "present": False,
-            "bytes": 0,
-            "components": 0,
-            "procedures": 0,
-        }
-        self._populated().save_store(storage, "fp")
-        stats = store_stats(storage, "fp")
-        assert stats["present"] and stats["bytes"] > 0
-        assert stats["components"] == 4 and stats["procedures"] == 4
 
 
 class TestKeepWarm:

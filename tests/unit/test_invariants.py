@@ -36,8 +36,8 @@ class TestRepositoryIsClean:
     def test_knob_isolation(self, checker):
         assert checker.check_knob_isolation() == []
 
-    def test_unpickler_allowlists(self, checker):
-        assert checker.check_unpickler_allowlists() == []
+    def test_no_unpickling(self, checker):
+        assert checker.check_no_unpickling() == []
 
     def test_declared_dependencies(self, checker):
         assert checker.check_declared_dependencies() == []
@@ -85,35 +85,22 @@ class TestKnobIsolation:
         assert checker.check_knob_isolation(seeded_tree) == []
 
 
-class TestUnpicklerAllowlists:
-    def test_computed_allowlist_is_flagged(self, checker, seeded_tree):
-        (seeded_tree / "bad.py").write_text(
-            "names = [('os', 'system')]\n"
-            "ALLOWED = frozenset((m, n) for m, n in names)\n"
+class TestNoUnpickling:
+    def test_pickle_imports_are_flagged(self, checker, seeded_tree):
+        (seeded_tree / "store.py").write_text(
+            "import pickle\n"
             "def load(data):\n"
-            "    return restricted_loads(data, ALLOWED)\n"
+            "    from pickle import loads\n"
+            "    return loads(data)\n"
         )
-        problems = checker.check_unpickler_allowlists(seeded_tree)
-        assert len(problems) == 1
-        assert "not a literal set" in problems[0]
+        problems = checker.check_no_unpickling(seeded_tree)
+        assert len(problems) == 2
+        assert any("store.py:1" in p for p in problems)
+        assert any("store.py:3" in p for p in problems)
 
-    def test_wildcard_entry_is_flagged(self, checker, seeded_tree):
-        (seeded_tree / "bad.py").write_text(
-            'ALLOWED = {("repro.*", "Symbol")}\n'
-            "def load(data):\n"
-            "    return restricted_loads(data, ALLOWED)\n"
-        )
-        problems = checker.check_unpickler_allowlists(seeded_tree)
-        assert len(problems) == 1
-        assert "wildcard" in problems[0]
-
-    def test_literal_allowlist_is_clean(self, checker, seeded_tree):
-        (seeded_tree / "ok.py").write_text(
-            'ALLOWED = {("builtins", "frozenset"), ("fractions", "Fraction")}\n'
-            "def load(data):\n"
-            "    return restricted_loads(data, ALLOWED)\n"
-        )
-        assert checker.check_unpickler_allowlists(seeded_tree) == []
+    def test_json_import_is_clean(self, checker, seeded_tree):
+        (seeded_tree / "store.py").write_text("import json\n")
+        assert checker.check_no_unpickling(seeded_tree) == []
 
 
 class TestDeclaredDependencies:

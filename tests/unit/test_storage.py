@@ -3,9 +3,9 @@
 Each backend — the directory default and the in-memory test store — must
 present the same observable semantics: whole-entry round-trips, absent
 entries reading ``None``, last-writer-wins overwrites, delete reporting
-whether anything existed, and namespaces that never leak reads or
-listings into each other.  Testing the contract once, parameterized,
-replaces the ad-hoc per-backend tests.
+whether anything existed, and listings of exactly the live entries.
+Testing the contract once, parameterized, replaces the ad-hoc per-backend
+tests.
 """
 
 import pytest
@@ -23,13 +23,11 @@ def store(request, tmp_path):
 class TestConformance:
     def test_absent_entry_reads_none(self, store):
         assert store.read("missing-entry") is None
-        assert store.size_of("missing-entry") == 0
 
     def test_round_trip_preserves_bytes(self, store):
         data = b'{"payload": 1}\x00\xff binary tail'
         store.write("entry-a", data)
         assert store.read("entry-a") == data
-        assert store.size_of("entry-a") == len(data)
 
     def test_overwrite_is_last_writer_wins(self, store):
         store.write("entry-a", b"first")
@@ -47,20 +45,6 @@ class TestConformance:
         store.write("entry-b", b"2")
         store.delete("entry-a")
         assert sorted(store.names()) == ["entry-b"]
-
-    def test_namespaces_do_not_leak_reads(self, store):
-        first = store.namespace("memo")
-        second = store.namespace("incremental")
-        first.write("shared-name", b"from-first")
-        assert second.read("shared-name") is None
-        assert store.read("shared-name") is None
-        assert first.read("shared-name") == b"from-first"
-
-    def test_namespaced_entries_stay_out_of_the_parent_listing(self, store):
-        store.write("entry-a", b"top")
-        store.namespace("memo").write("snapshot", b"ns")
-        assert sorted(store.names()) == ["entry-a"]
-        assert sorted(store.namespace("memo").names()) == ["snapshot"]
 
     def test_result_cache_treats_corruption_as_a_miss(self, store):
         cache = ResultCache(storage=store)

@@ -15,12 +15,11 @@ pin down once and for all, because new call sites keep appearing:
   the knob, the key-building modules are checked wholesale, and the
   ``*Options`` dataclasses (whose ``to_dict`` feeds the result-cache key)
   must not grow a field named after it.
-* **Unpickler allowlists enumerate concrete classes.**  Every
-  ``RestrictedUnpickler``/``restricted_loads`` call site must take its
-  ``allowed`` vocabulary from a literal set of ``("module", "qualname")``
-  string pairs.  A computed allowlist (comprehension, function call,
-  module-prefix matching) is how the arbitrary-code-execution hole the
-  restricted unpickler exists to close gets reopened by accident.
+* **Nothing is unpickled from disk.**  No module may import ``pickle``
+  (or ``shelve``, which stores pickles): on-disk state is JSON only, and
+  unpickling a file from a shared cache directory can execute code.
+  Pickles only cross pipes to the package's own child processes, through
+  ``multiprocessing``.
 * **The package imports only what it declares.**  Every top-level import
   that is neither standard library (``sys.stdlib_module_names``) nor
   ``repro`` itself must name a ``[project].dependencies`` entry of
@@ -63,8 +62,8 @@ KEY_FUNCTION_NAMES = frozenset(
 #: anywhere in them, not even in imports or comments-of-code.
 KEY_MODULES = ("engine/cache.py", "lang/fingerprint.py")
 
-#: Names under which the restricted unpickler is called.
-UNPICKLER_NAMES = frozenset({"RestrictedUnpickler", "restricted_loads"})
+#: Modules that deserialise pickles; importing any of them is a finding.
+UNPICKLING_MODULES = frozenset({"pickle", "_pickle", "shelve"})
 
 #: Modules that work on integer constraint rows only.
 FRACTION_FREE_MODULES = (
@@ -154,105 +153,6 @@ def check_knob_isolation(root: Path = SOURCE_ROOT) -> list[str]:
     return problems
 
 
-def _literal_pair_elements(node: ast.AST) -> Optional[list[ast.expr]]:
-    """The element expressions of a literal set/frozenset, else ``None``."""
-    if isinstance(node, ast.Set):
-        return list(node.elts)
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "frozenset"
-        and not node.keywords
-        and len(node.args) == 1
-        and isinstance(node.args[0], (ast.Set, ast.List, ast.Tuple))
-    ):
-        return list(node.args[0].elts)
-    return None
-
-
-def _allowlist_problems(value: ast.AST, origin: str) -> list[str]:
-    """Why ``value`` is not an explicit class allowlist (empty when it is)."""
-    elements = _literal_pair_elements(value)
-    if elements is None:
-        return [
-            f"{origin}: allowlist is not a literal set of"
-            " (module, qualname) pairs — computed allowlists reopen the"
-            " code-execution hole the restricted unpickler closes"
-        ]
-    problems: list[str] = []
-    for element in elements:
-        if (
-            not isinstance(element, ast.Tuple)
-            or len(element.elts) != 2
-            or not all(
-                isinstance(part, ast.Constant) and isinstance(part.value, str)
-                for part in element.elts
-            )
-        ):
-            problems.append(
-                f"{origin}: allowlist element is not a"
-                ' ("module", "qualname") string pair'
-            )
-            continue
-        module, qualname = (part.value for part in element.elts)  # type: ignore[union-attr]
-        if "*" in module or "*" in qualname:
-            problems.append(
-                f"{origin}: allowlist entry ({module!r}, {qualname!r}) uses a"
-                " wildcard — enumerate concrete classes"
-            )
-    return problems
-
-
-def check_unpickler_allowlists(root: Path = SOURCE_ROOT) -> list[str]:
-    """Unpickler call sites with non-literal allowlists (empty when clean)."""
-    problems: list[str] = []
-    for path in python_sources(root):
-        relative = path.relative_to(REPO_ROOT)
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(relative))
-        assignments: dict[str, ast.AST] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        assignments[target.id] = node.value
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            name = callee.attr if isinstance(callee, ast.Attribute) else (
-                callee.id if isinstance(callee, ast.Name) else None
-            )
-            if name not in UNPICKLER_NAMES:
-                continue
-            # ``allowed`` is the second positional argument of both entry
-            # points (after the stream/data), or the keyword of that name.
-            allowed: Optional[ast.AST] = None
-            if len(node.args) >= 2:
-                allowed = node.args[1]
-            for keyword in node.keywords:
-                if keyword.arg == "allowed":
-                    allowed = keyword.value
-            origin = f"{relative}:{node.lineno}: `{name}(...)`"
-            if allowed is None:
-                problems.append(f"{origin}: no explicit allowlist argument")
-                continue
-            if isinstance(allowed, ast.Name):
-                # Definition sites pass their parameter straight through;
-                # only resolve module-level names at *call* sites.
-                if allowed.id in assignments:
-                    problems.extend(
-                        _allowlist_problems(assignments[allowed.id], origin)
-                    )
-                elif allowed.id not in ("allowed",):
-                    problems.append(
-                        f"{origin}: allowlist `{allowed.id}` is not a"
-                        " module-level literal set of (module, qualname) pairs"
-                    )
-            else:
-                problems.extend(_allowlist_problems(allowed, origin))
-    return problems
-
-
 def _top_level_imports(tree: ast.AST) -> Iterator[tuple[str, int]]:
     """``(top-level module, line)`` of every absolute import under ``tree``."""
     for node in ast.walk(tree):
@@ -327,10 +227,26 @@ def check_fraction_free_modules(root: Path = SOURCE_ROOT) -> list[str]:
     return problems
 
 
+def check_no_unpickling(root: Path = SOURCE_ROOT) -> list[str]:
+    """Imports of pickle-reading modules (empty when clean)."""
+    problems: list[str] = []
+    for path in python_sources(root):
+        relative = path.relative_to(REPO_ROOT)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(relative))
+        for module, line in _top_level_imports(tree):
+            if module in UNPICKLING_MODULES:
+                problems.append(
+                    f"{relative}:{line}: imports `{module}` — on-disk state is"
+                    " JSON; pickles only cross pipes to the package's own"
+                    " child processes"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_knob_isolation()
-        + check_unpickler_allowlists()
+        + check_no_unpickling()
         + check_declared_dependencies()
         + check_fraction_free_modules()
     )
