@@ -6,7 +6,7 @@ not micro-timings, and several analyses take seconds.
 
 Set ``REPRO_FULL_BENCH=1`` to include the slowest rows (strassen,
 qsort_steps, closest_pair, ackermann, the full Fig.-3 sweep): cold,
-closest_pair takes about a minute and each of the others a few seconds.
+closest_pair takes about 25 s and each of the others a few seconds.
 The flag is owned by :mod:`repro.engine.config` so the bench scripts, the
 ``repro`` CLI and the batch engine always agree; ``FULL`` is re-exported
 here for the bench modules.

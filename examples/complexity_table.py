@@ -3,8 +3,8 @@
 Run with:  python examples/complexity_table.py [--full] [--jobs N]
 
 Without ``--full`` only the benchmarks that analyse within a few seconds each
-are run; ``--full`` runs all twelve rows (closest_pair alone takes about a
-minute cold).  Each row shows the true bound, the bound
+are run; ``--full`` runs all twelve rows (closest_pair alone takes about
+25 s cold).  Each row shows the true bound, the bound
 found by this reproduction of CHORA, the bound found by the ICRA-style
 baseline, and the bounds the paper reports.
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from ..formulas.formula import Atom, AtomKind
 from ..formulas.polynomial import Monomial, Polynomial
 from ..formulas.symbols import Symbol, fresh
-from ..polyhedra import ConstraintKind, LinearConstraint, Polyhedron
+from ..polyhedra import ConstraintKind, LinearConstraint, Polyhedron, maximize
 
 __all__ = ["LinearizationContext", "inference_constraints"]
 
@@ -128,14 +128,12 @@ def _constant_bounds(
 ) -> tuple[Fraction | None, Fraction | None]:
     """Constant lower/upper bounds of a symbol in the cube, when they exist.
 
-    Uses the exact simplex so the returned constants are safe to use in
+    The optimum is exact, so the returned constants are safe to use in
     derived constraints.
     """
-    from ..polyhedra.simplex import exact_maximize
-
-    upper_result = exact_maximize({symbol: Fraction(1)}, list(polyhedron.constraints))
+    upper_result = maximize({symbol: Fraction(1)}, polyhedron.constraints)
     upper = upper_result.value if upper_result.is_optimal else None
-    lower_result = exact_maximize({symbol: Fraction(-1)}, list(polyhedron.constraints))
+    lower_result = maximize({symbol: Fraction(-1)}, polyhedron.constraints)
     lower = -lower_result.value if lower_result.is_optimal and lower_result.value is not None else None
     return lower, upper
 

@@ -35,8 +35,7 @@ from ..formulas import Formula, TransitionFormula, conjoin, post, pre
 from ..lang import ast
 from ..lang.cfg import AssertionSite, CallEdge
 from ..lang.semantics import translate_condition
-from ..polyhedra import ConstraintKind, LinearConstraint, Polyhedron
-from ..polyhedra.simplex import exact_maximize
+from ..polyhedra import ConstraintKind, LinearConstraint, Polyhedron, maximize
 from .chora import AnalysisResult
 from .summaries import ExponentialRegistry
 
@@ -150,8 +149,8 @@ def _exponential_consequences(
     constraints = list(polyhedron.constraints)
 
     def bounds_of(symbol) -> tuple[Optional[Fraction], Optional[Fraction]]:
-        upper = exact_maximize({symbol: Fraction(1)}, constraints)
-        lower = exact_maximize({symbol: Fraction(-1)}, constraints)
+        upper = maximize({symbol: Fraction(1)}, constraints)
+        lower = maximize({symbol: Fraction(-1)}, constraints)
         return (
             -lower.value if lower.is_optimal and lower.value is not None else None,
             upper.value if upper.is_optimal and upper.value is not None else None,
@@ -187,8 +186,8 @@ def _exponential_consequences(
             if first.base != second.base or first.base <= 1:
                 continue
             difference = {first.exponent: Fraction(1), second.exponent: Fraction(-1)}
-            upper = exact_maximize(difference, constraints)
-            lower = exact_maximize(
+            upper = maximize(difference, constraints)
+            lower = maximize(
                 {s: -c for s, c in difference.items()}, constraints
             )
             if (

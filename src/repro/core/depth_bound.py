@@ -52,7 +52,7 @@ from ..formulas import (
 from ..lang import ast
 from ..lang.cfg import CallEdge, ControlFlowGraph, WeightEdge
 from ..lang.semantics import translate_expression
-from ..polyhedra.simplex import exact_maximize
+from ..polyhedra import maximize
 from .summaries import DEPTH_SYMBOL, DepthBound
 
 __all__ = [
@@ -358,7 +358,7 @@ def _minimum_base_value(
             continue
         linearized = abstraction.context.linearize_polynomial(expression)
         objective = {s: -c for s, c in linearized.linear_coefficients().items()}
-        result = exact_maximize(objective, list(abstraction.polyhedron.constraints))
+        result = maximize(objective, abstraction.polyhedron.constraints)
         if not result.is_optimal or result.value is None:
             return None
         this_minimum = -Fraction(result.value) + expression.constant_value
@@ -380,10 +380,9 @@ def _minimum_over_guards(
             continue
         linearized = abstraction.context.linearize_polynomial(expression)
         objective = {s: -c for s, c in linearized.linear_coefficients().items()}
-        result = exact_maximize(objective, list(abstraction.polyhedron.constraints))
+        result = maximize(objective, abstraction.polyhedron.constraints)
         if not result.is_optimal or result.value is None:
             return None
-        guard_minimum = -Fraction(result.value) + expression.constant_value * 0
         guard_minimum = -Fraction(result.value)
         if minimum is None or guard_minimum < minimum:
             minimum = guard_minimum
@@ -405,10 +404,10 @@ def _exact_base_value(
             continue
         linearized = abstraction.context.linearize_polynomial(expression) - expression.constant_value
         coefficients = linearized.linear_coefficients()
-        upper = exact_maximize(coefficients, list(abstraction.polyhedron.constraints))
-        lower = exact_maximize(
+        upper = maximize(coefficients, abstraction.polyhedron.constraints)
+        lower = maximize(
             {s: -c for s, c in coefficients.items()},
-            list(abstraction.polyhedron.constraints),
+            abstraction.polyhedron.constraints,
         )
         if not (upper.is_optimal and lower.is_optimal):
             return None

@@ -2,8 +2,9 @@
 
 This package implements the machinery behind the paper's ``Abstract`` /
 convex-hull procedure (Alg. 1): linear constraints stored as gcd-primitive
-integer rows, satisfiability/entailment/optimization via LP, Fourier–Motzkin
-projection, and the polyhedral join (closed convex hull of unions).
+integer rows, satisfiability/entailment/optimization via an exact rational
+simplex, Fourier–Motzkin projection, and the polyhedral join (closed convex
+hull of unions).
 
 The hot queries — projection, LP satisfiability/entailment, constraint-set
 minimization — are memoized in process-local tables keyed on canonicalised
@@ -15,7 +16,7 @@ from .cache import cache_stats, clear_caches
 from .constraint import ConstraintKind, LinearConstraint, constraint_from_atom
 from .fourier_motzkin import eliminate, minimize_constraints
 from .hull import convex_hull, convex_hull_pair, weak_join
-from .lp import LpResult, LpStatus, entails, is_satisfiable, maximize
+from .lp import entails, is_satisfiable, maximize
 from .polyhedron import Polyhedron
 
 __all__ = [
@@ -29,8 +30,6 @@ __all__ = [
     "convex_hull",
     "convex_hull_pair",
     "weak_join",
-    "LpResult",
-    "LpStatus",
     "entails",
     "is_satisfiable",
     "maximize",

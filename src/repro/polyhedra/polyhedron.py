@@ -4,12 +4,11 @@ A :class:`Polyhedron` is a finite conjunction of linear constraints over
 symbols.  It provides the abstract-domain operations the paper relies on
 (§3, "Symbolic abstraction"): meet, projection (via Fourier–Motzkin), the
 join (closed convex hull of the union, see :mod:`repro.polyhedra.hull`),
-entailment, and upper-bound queries for linear expressions.
+and entailment.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ..formulas.formula import Formula, conjoin
@@ -141,29 +140,6 @@ class Polyhedron:
 
     def rename(self, mapping: Mapping[Symbol, Symbol]) -> "Polyhedron":
         return Polyhedron(c.rename(mapping) for c in self._constraints)
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-    def upper_bound(self, objective: Mapping[Symbol, Fraction | int]) -> float | None:
-        """Supremum of a linear expression over the polyhedron.
-
-        Returns ``None`` when the expression is unbounded above (or the LP
-        solver fails), ``float('-inf')`` when the polyhedron is empty.
-        """
-        if self.is_empty():
-            return float("-inf")
-        result = lp.maximize(objective, self._constraints)
-        if result.is_optimal and result.value is not None:
-            return result.value
-        return None
-
-    def sample_point(self) -> dict[Symbol, float] | None:
-        """An arbitrary point of the polyhedron, or None if empty."""
-        result = lp.maximize({}, self._constraints)
-        if result.is_optimal:
-            return result.point or {}
-        return None
 
     def to_formula(self) -> Formula:
         """The conjunction of the constraints as a formula."""

@@ -1,11 +1,10 @@
 """Exact rational linear programming (fraction-free two-phase simplex).
 
-The floating-point LP backend (:mod:`repro.polyhedra.lp`) is fast but its
-answers near the decision boundary cannot be trusted for *soundness-critical*
-queries: claiming that a constraint system entails a candidate inequation when
-it does not would let an unsound invariant into a procedure summary.  This
-module provides an exact simplex that the LP layer consults whenever the
-floating-point answer is in the unsound direction or too close to call.
+This is the LP layer's only solver: every satisfiability, entailment and
+optimum query of :mod:`repro.polyhedra.lp` is answered here, exactly.  An
+entailment answered "yes" when it does not hold would let an unsound
+invariant into a procedure summary, so no answer may depend on a rounding
+tolerance.
 
 The solver maximizes a linear objective subject to ``A x + b <= 0`` /
 ``A x + b == 0`` constraints with *free* variables.  Free variables are split

@@ -24,6 +24,9 @@ from fractions import Fraction
 from typing import Mapping
 
 import sympy
+# Add.flatten imports this (and sympy.combinatorics) on first use; loading it
+# here puts it in the image every forked worker inherits.
+import sympy.tensor.tensor  # noqa: F401
 
 __all__ = ["ExpPoly"]
 

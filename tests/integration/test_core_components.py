@@ -1,7 +1,5 @@
 """Integration tests for the individual core components (Alg. 2/3, §4.2, §4.4, §4.5)."""
 
-import os
-
 import pytest
 import sympy
 
@@ -95,11 +93,10 @@ class TestMissingBaseSection45:
 
 
 class TestMutualRecursionSection44:
-    @pytest.mark.skipif(
-        not os.environ.get("REPRO_SLOW_TESTS"),
-        reason="analysing the Ex. 4.1 component takes several minutes in this "
-        "pure-Python build (loops containing recursive calls); set "
-        "REPRO_SLOW_TESTS=1 to include it",
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Ex. 4.1 gap: no candidate inequation couples P1's h+1 bounds "
+        "to P2's h bounds, so the coupled 6^h recurrence is not extracted",
     )
     def test_coupled_recurrence_is_extracted(self):
         """Ex. 4.1: the interleaved analysis produces a coupled recurrence whose

@@ -2,14 +2,17 @@
 
 Covers the cache-key contract (stability, content addressing), cache
 hit/miss behaviour, per-task timeout / crash / error isolation, result
-ordering, determinism of parallel vs. serial runs, and the suite-task
-protocol.  Worker behaviours are exercised through ad-hoc task kinds
+ordering, determinism of parallel vs. serial runs, the suite-task
+protocol, and which modules a worker image holds before it forks.  Worker behaviours are exercised through ad-hoc task kinds
 registered by this module (workers inherit the registry).
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -429,3 +432,40 @@ class TestSuiteProtocol:
         assert entry.kind == "complexity"
         assert entry.procedure == "subsetSumAux"
         assert dict(entry.substitutions) == {"i": 0, "sum": 0}
+
+
+#: Runs in a fresh interpreter: the modules ``import repro.cli`` loads, and
+#: the ones one fast suite task adds after it.
+_IMPORT_PROBE = """
+import json, sys
+import repro.cli
+from repro.benchlib.suites import suite_entry
+from repro.engine import AnalysisTask
+from repro.engine.tasks import execute_task
+
+floating = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+before = set(sys.modules)
+execute_task(AnalysisTask.from_entry(suite_entry("table1", "fibonacci"), suite="table1"))
+added = sorted(
+    m for m in set(sys.modules) - before
+    if m.startswith(("sympy.tensor", "sympy.combinatorics"))
+)
+print(json.dumps({"floating": floating, "added": added}))
+"""
+
+
+class TestWorkerImage:
+    def test_forked_tasks_import_nothing_heavy(self):
+        """``import repro.cli`` loads no float LP stack, and a task imports
+        no sympy.tensor or sympy.combinatorics module: those are loaded
+        before a worker forks, so no fork pays for them."""
+        source = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE],
+            env=dict(os.environ, PYTHONPATH=str(source)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"floating": [], "added": []}

@@ -12,7 +12,10 @@ no solver in the oracle):
 * minimization — ``minimize_constraints`` preserves the solution set exactly;
 * memo determinism — cached and uncached projections are identical;
 * representation — every constraint the layer returns is a gcd-primitive
-  integer row, and positive rescaling of the input changes nothing.
+  integer row, and positive rescaling of the input changes nothing;
+* memoized LP answers — on systems of 13–30 rows, the memoized
+  satisfiability and entailment queries answer exactly as the exact simplex
+  does, cold and through the canonical-key memo tables.
 """
 
 import itertools
@@ -22,16 +25,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.formulas import sym
+from repro.formulas import fresh, sym
 from repro.polyhedra import (
     ConstraintKind,
     LinearConstraint,
     Polyhedron,
+    cache_stats,
     clear_caches,
     convex_hull_pair,
     eliminate,
+    entails,
+    is_satisfiable,
     minimize_constraints,
 )
+from repro.polyhedra.simplex import exact_entails, exact_is_satisfiable
 
 SYMBOLS = [sym(name) for name in ("x", "y", "z")]
 
@@ -231,3 +238,74 @@ class TestPrimitiveRepresentation:
         clear_caches()
         assert eliminate(scaled, [eliminated]) == projected
         assert minimize_constraints(scaled) == minimized
+
+
+#: Symbols of the LP-sized systems; fresh copies keep their string order, so
+#: a renamed system has the same canonical memo key as the original.
+LP_SYMBOLS = [sym(name) for name in ("a", "b", "c", "d")]
+LP_TABLES = ("lp.is_satisfiable", "lp.entails")
+
+
+@st.composite
+def lp_systems(draw):
+    """13–30 rows over 3–4 symbols that one integer point satisfies; when the
+    drawn flag says so, the last row contradicts an earlier one."""
+    symbols = LP_SYMBOLS[: draw(st.integers(3, 4))]
+    point = {s: draw(st.integers(-3, 3)) for s in symbols}
+    size = draw(st.integers(13, 30))
+    rows = []
+    for _ in range(size):
+        coeffs = {s: draw(st.integers(-4, 4)) for s in symbols}
+        value = sum(c * point[s] for s, c in coeffs.items())
+        kind = draw(st.sampled_from([ConstraintKind.LE] * 3 + [ConstraintKind.EQ]))
+        slack = 0 if kind is ConstraintKind.EQ else draw(st.integers(0, 3))
+        rows.append(LinearConstraint.make(coeffs, -value - slack, kind))
+    if draw(st.booleans()):
+        # t + k <= 0 (or == 0) holds; t + k >= 1 cannot hold with it.
+        row = rows[draw(st.integers(0, size - 2))]
+        rows[-1] = LinearConstraint.make(
+            {s: -c for s, c in row.coeffs}, 1 - row.constant
+        )
+    return symbols, rows
+
+
+@st.composite
+def lp_candidates(draw, symbols, system):
+    """LE and EQ candidates, a loosened system row, and ``1 <= 0``."""
+    candidates = [LinearConstraint.make({}, 1)]
+    for kind in (ConstraintKind.LE, ConstraintKind.LE, ConstraintKind.EQ):
+        coeffs = {s: draw(st.integers(-3, 3)) for s in symbols}
+        candidates.append(
+            LinearConstraint.make(coeffs, draw(st.integers(-8, 8)), kind)
+        )
+    row = draw(st.sampled_from(system))
+    candidates.append(
+        LinearConstraint.make(row.coeff_map, row.constant - draw(st.integers(0, 2)))
+    )
+    return [c for c in candidates if not c.is_trivial]
+
+
+class TestMemoizedLpMatchesExactSolver:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cold_and_renamed_answers_match(self, data):
+        symbols, system = data.draw(lp_systems())
+        candidates = data.draw(lp_candidates(symbols, system))
+        expected = [exact_is_satisfiable(system)] + [
+            exact_entails(system, c) for c in candidates
+        ]
+
+        def answers(rows, queries):
+            return [is_satisfiable(rows)] + [entails(rows, c) for c in queries]
+
+        clear_caches()
+        assert answers(system, candidates) == expected
+        misses = {table: cache_stats()[table]["misses"] for table in LP_TABLES}
+        renaming = {s: fresh(s.name) for s in symbols}
+        renamed = answers(
+            [c.rename(renaming) for c in system],
+            [c.rename(renaming) for c in candidates],
+        )
+        assert renamed == expected
+        # Every renamed query was answered from the tables the cold pass filled.
+        assert {table: cache_stats()[table]["misses"] for table in LP_TABLES} == misses
