@@ -5,8 +5,8 @@ Every benchmark runs the analysis exactly once per measurement
 not micro-timings, and several analyses take seconds.
 
 Set ``REPRO_FULL_BENCH=1`` to include the slowest rows (strassen,
-qsort_steps, closest_pair, ackermann, the full Fig.-3 sweep): cold,
-closest_pair takes about 25 s and each of the others a few seconds.
+qsort_steps, closest_pair, ackermann, the full Fig.-3 sweep); closest_pair
+is the slowest of them.
 The flag is owned by :mod:`repro.engine.config` so the bench scripts, the
 ``repro`` CLI and the batch engine always agree; ``FULL`` is re-exported
 here for the bench modules.

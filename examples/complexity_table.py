@@ -3,10 +3,10 @@
 Run with:  python examples/complexity_table.py [--full] [--jobs N]
 
 Without ``--full`` only the benchmarks that analyse within a few seconds each
-are run; ``--full`` runs all twelve rows (closest_pair alone takes about
-25 s cold).  Each row shows the true bound, the bound
-found by this reproduction of CHORA, the bound found by the ICRA-style
-baseline, and the bounds the paper reports.
+are run; ``--full`` runs all twelve rows (closest_pair is the slowest).
+Each row shows the true bound, the bound found by this reproduction of
+CHORA, the bound found by the ICRA-style baseline, and the bounds the paper
+reports.
 
 The rows run through the batch engine (``repro.engine.BatchEngine``): CHORA
 and ICRA tasks execute concurrently in worker processes and results are

@@ -10,10 +10,8 @@ own fast/slow lists.
 An entry's ``kind`` names the analysis to run on it (``"complexity"`` for
 cost-bound extraction, ``"assertion"`` for assertion checking); entries
 flagged ``slow`` are only included when full-bench mode is requested (the
-``REPRO_FULL_BENCH=1`` switch, see :mod:`repro.engine.config`).  Analysed
-cold (``repro bench --suite all --full --jobs 2 --no-cache`` on a 2-vCPU
-x86 container), closest_pair takes about 25 s and each of the other
-fifteen slow rows 0.2-3.2 s.
+``REPRO_FULL_BENCH=1`` switch, see :mod:`repro.engine.config`).
+closest_pair is the slowest row.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ __all__ = [
     "suite_names",
 ]
 
-#: Table-1 rows left out of the default run: closest_pair takes about 25 s
-#: cold, ackermann about 3 s, strassen and qsort_steps under 2 s.
+#: Table-1 rows left out of the default run; closest_pair is the slowest
+#: row of all.
 _TABLE1_SLOW = frozenset({"strassen", "qsort_steps", "closest_pair", "ackermann"})
 
 #: The representative Fig.-3 subset run by default (the full 17-benchmark

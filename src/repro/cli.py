@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--full",
         action="store_true",
-        help="include the 16 slow rows (closest_pair alone takes about 25 s; "
+        help="include the 16 slow rows (closest_pair is the slowest; "
         "default honours REPRO_FULL_BENCH)",
     )
     bench.add_argument(

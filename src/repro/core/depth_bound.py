@@ -165,31 +165,6 @@ def _candidate_rankings(parameters: Sequence[str]) -> list[Polynomial]:
     return candidates
 
 
-def _call_transformation(
-    edge: CallEdge,
-    callee: ast.Procedure,
-    guard: Formula,
-) -> Formula:
-    """Formula relating the caller's pre-state to the callee's parameters.
-
-    The callee's parameter values appear as *post-state* symbols; the caller's
-    state as pre-state symbols; ``guard`` is a pre-state reachability
-    condition for the call site.
-    """
-    conjuncts: list[Formula] = [guard]
-    bound_symbols: list[Symbol] = []
-    for parameter, argument in zip(callee.parameters, edge.arguments):
-        if parameter.is_array:
-            continue
-        translated = translate_expression(argument)
-        conjuncts.append(translated.constraints)
-        conjuncts.append(
-            atom_eq(Polynomial.var(post(parameter.name)), translated.value)
-        )
-        bound_symbols.extend(translated.fresh_symbols)
-    return exists(bound_symbols, conjoin(conjuncts))
-
-
 def descent_depth_bound(
     contexts: Mapping[str, ProcedureContext],
     base_summaries: Mapping[str, TransitionFormula],

@@ -27,8 +27,8 @@ __all__ = [
 DEFAULT_SERVICE_PORT = 8734
 
 #: Set to ``1`` to include the slowest benchmarks (strassen, qsort_steps,
-#: closest_pair, ackermann, the full Fig.-3 sweep).  Cold, closest_pair
-#: takes about 25 s and each of the others 0.2-3.2 s (2-vCPU x86 container).
+#: closest_pair, ackermann, the full Fig.-3 sweep); closest_pair is the
+#: slowest of them.
 FULL_BENCH_ENV = "REPRO_FULL_BENCH"
 
 #: Overrides where the on-disk result cache lives.

@@ -160,9 +160,10 @@ class _BoundClaim:
         ``sympy.Symbol(..., positive=True)`` — at ``n = 0`` the expression
         simply makes no claim, e.g. ``depth <= n`` for a procedure whose
         base case still costs one frame); or a value that is not a real
-        number (``zoo``/``nan`` from a quotient whose denominator vanishes).
-        Such bounds are skipped, never guessed; ``+oo`` evaluates fine and
-        is trivially satisfied.
+        number (``zoo``/``nan`` from a quotient whose denominator vanishes,
+        or a ``Max``/``Min`` that cannot compare one).  Such bounds are
+        skipped, never guessed; ``+oo`` evaluates fine and is trivially
+        satisfied.
         """
         substitution = {
             symbol: arguments[symbol.name]
@@ -171,10 +172,11 @@ class _BoundClaim:
         }
         if any(value < 1 for value in substitution.values()):
             return None
-        value = self.expression.subs(substitution)
-        if value.free_symbols:
-            return None
         try:
+            # A Max or Min raises on a non-real argument (the log of zero).
+            value = self.expression.subs(substitution)
+            if value.free_symbols:
+                return None
             numeric = float(value)
         except (TypeError, ValueError):
             return None

@@ -7,9 +7,9 @@ simplex, Fourier–Motzkin projection, and the polyhedral join (closed convex
 hull of unions).
 
 The hot queries — projection, LP satisfiability/entailment, constraint-set
-minimization — are memoized in process-local tables keyed on canonicalised
-constraint systems (:mod:`repro.polyhedra.cache`); ``clear_caches`` resets
-them and ``cache_stats`` reports their hit rates.
+minimization — are memoized in process-local tables keyed on canonically
+numbered constraint systems (:mod:`repro.polyhedra.cache`); ``clear_caches``
+resets them and ``cache_stats`` reports their hit rates.
 """
 
 from .cache import cache_stats, clear_caches

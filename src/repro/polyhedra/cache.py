@@ -6,11 +6,14 @@ query per kept constraint per pass, cube enumeration asks the same
 satisfiability question for structurally equal cubes, and hull construction
 re-eliminates the same lifted systems whenever a join is revisited.  This
 module provides small in-process memo tables for those pure queries, keyed on
-a *canonicalised* form of the constraint system: symbols are renamed to
-positional placeholders (in sorted order) and constraints are sorted, so two
-systems that differ only in fresh-symbol indices or constraint order share
-one cache entry — mirroring the content-addressed design of the engine's
-on-disk result cache.
+a *canonical numbering* of the constraint system (:func:`numbered`): its
+symbols are numbered once, in string order, and every row becomes a tuple of
+ints ``(((column, coeff), ...), constant, is_eq)``.  Two systems that differ
+only in fresh-symbol indices number to the same rows, and the semantic
+queries also sort the rows, so they share one cache entry — mirroring the
+content-addressed design of the engine's on-disk result cache.  Keys and
+memoized values hold ints only, never symbols, so they hash and compare at C
+speed.
 
 The tables are bounded (FIFO eviction) and process-local; batch-engine
 workers fork with empty-to-warm parent tables and diverge independently,
@@ -27,17 +30,23 @@ from collections import OrderedDict
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..formulas.symbols import Symbol
-from .constraint import LinearConstraint
+from .constraint import ConstraintKind, LinearConstraint
 
 __all__ = [
+    "IntRow",
     "MemoCache",
     "canonical_key",
-    "canonical_system",
     "clear_caches",
     "cache_stats",
+    "entailment_key",
     "keep_warm",
+    "numbered",
     "register_cache",
+    "to_constraint",
 ]
+
+_LE = ConstraintKind.LE
+_EQ = ConstraintKind.EQ
 
 #: Default per-table entry cap.  Projection results are small (a list of
 #: constraints); a few thousand entries is a handful of megabytes.
@@ -140,60 +149,61 @@ def cache_stats() -> dict[str, dict[str, int]]:
 
 
 # ---------------------------------------------------------------------- #
-# Canonicalisation
+# Canonical numbering
 # ---------------------------------------------------------------------- #
-def canonical_system(
+#: ``(((column, coeff), ...), constant, is_eq)``: a constraint row over
+#: numbered columns, sorted by column, with the gcd-primitive int entries of
+#: the :class:`~repro.polyhedra.constraint.LinearConstraint` it numbers.
+IntRow = tuple[tuple[tuple[int, int], ...], int, bool]
+
+
+def numbered(
     constraints: Sequence[LinearConstraint],
-    extra_symbols: Iterable[Symbol] = (),
-) -> tuple[
-    tuple[LinearConstraint, ...],
-    tuple[Symbol, ...],
-    dict[Symbol, Symbol],
-    dict[Symbol, Symbol],
-]:
-    """Rename a constraint system to canonical positional symbols.
+) -> tuple[list[Symbol], dict[Symbol, int], list[IntRow]]:
+    """Number the symbols of ``constraints`` and rewrite each row over them.
 
-    Returns ``(canonical_constraints, canonical_extras, forward, inverse)``
-    where ``forward`` maps original symbols to placeholders and ``inverse``
-    maps back.
+    Returns ``(symbols, columns, rows)``: ``symbols[column]`` is the symbol
+    of a column, ``columns`` the inverse map and ``rows[i]`` the int row of
+    the ``i``-th constraint.
 
-    The renaming is **order-isomorphic**: placeholders are assigned in the
-    symbols' string order and their zero-padded names sort the same way, and
-    constraint order is preserved.  An algorithm whose output depends on
-    symbol ordering or constraint ordering (Fourier–Motzkin's pivot choice,
-    greedy minimization, the presolve's choice of the first symbol of an
-    equality) therefore computes *exactly* the renaming of what it would
-    compute on the original system — so memoizing on the canonical form
-    cannot change any result, it only lets systems differing in fresh-symbol
-    indices share entries.  The renamed rows keep their integer entries, so
-    the keys hash plain int tuples.
+    The numbering is **order-isomorphic**: columns are assigned in the
+    symbols' string order, the order a constraint sorts its symbols in, so
+    every row's columns come out sorted and row order is preserved.  An
+    algorithm whose output depends on symbol or row order (Fourier–Motzkin's
+    pivot choice, greedy minimization) therefore computes on the int rows
+    exactly what it computes on the symbols, and memoizing on the rows
+    cannot change any result: it only lets systems that differ in
+    fresh-symbol indices share entries.  Only the symbols the rows mention
+    are numbered, so isomorphic systems number alike.
     """
-    symbols = sorted(
-        {s for c in constraints for s in c.symbols} | set(extra_symbols), key=str
+    symbols = sorted({s for c in constraints for s, _ in c.coeffs}, key=str)
+    columns = {s: i for i, s in enumerate(symbols)}
+    rows = [
+        (tuple([(columns[s], v) for s, v in c.coeffs]), c.constant, c.kind is _EQ)
+        for c in constraints
+    ]
+    return symbols, columns, rows
+
+
+def to_constraint(row: IntRow, symbols: Sequence[Symbol]) -> LinearConstraint:
+    """The constraint an int row numbers (columns are sorted, so no sort)."""
+    coeffs, constant, is_eq = row
+    return LinearConstraint(
+        tuple([(symbols[column], v) for column, v in coeffs]),
+        constant,
+        _EQ if is_eq else _LE,
     )
-    forward = {s: Symbol(f"_cv{i:05d}") for i, s in enumerate(symbols)}
-    inverse = {v: k for k, v in forward.items()}
-    canonical = tuple(c.rename(forward) for c in constraints)
-    extras = tuple(forward[s] for s in dict.fromkeys(extra_symbols))
-    return canonical, extras, forward, inverse
 
 
-def canonical_key(
-    constraints: Sequence[LinearConstraint],
-    extra_symbols: Iterable[Symbol] = (),
-) -> tuple:
+def canonical_key(rows: Iterable[IntRow]) -> tuple[IntRow, ...]:
     """A hashable, order-insensitive content key for a *semantic* query.
 
-    Constraints are additionally sorted, so permutations of one system share
-    a key.  Only use this for queries whose answer is a pure function of the
+    The numbered rows are sorted, so permutations of one system share a
+    key.  Only use this for queries whose answer is a pure function of the
     solution set (satisfiability, entailment) — not for computations whose
-    syntactic output depends on constraint order.
+    syntactic output depends on row order.
     """
-    canonical, extras, _, _ = canonical_system(constraints, extra_symbols)
-    return (
-        tuple(sorted(canonical, key=lambda c: (c.coeffs, c.constant, c.kind.value))),
-        tuple(sorted(extras, key=str)),
-    )
+    return tuple(sorted(rows))
 
 
 def entailment_key(
@@ -201,13 +211,9 @@ def entailment_key(
 ) -> tuple:
     """A content key for an entailment query ``constraints |= candidate``.
 
-    The candidate is renamed with the same symbol map as the system but kept
-    separate in the key (it is the query, not part of the system).
+    The candidate is numbered with the system but kept separate in the key
+    (it is the query, not part of the system).
     """
-    canonical, _, forward, _ = canonical_system(
-        constraints, candidate.symbols
-    )
-    ordered = tuple(
-        sorted(canonical, key=lambda c: (c.coeffs, c.constant, c.kind.value))
-    )
-    return (ordered, candidate.rename(forward))
+    _, _, rows = numbered([*constraints, candidate])
+    query = rows.pop()
+    return (canonical_key(rows), query)

@@ -122,8 +122,8 @@ class LinearConstraint:
         return self.constant != 0
 
     def coefficient(self, symbol: Symbol) -> int:
-        # Hot query (the projection and simplex layers call it per symbol
-        # per constraint); a lazily built lookup table replaces the linear
+        # Hot query (the simplex presolve calls it per symbol per
+        # constraint); a lazily built lookup table replaces the linear
         # scan.  ``object.__setattr__`` sidesteps the frozen-dataclass guard
         # for what is a pure cache of the ``coeffs`` field.
         try:
@@ -181,10 +181,10 @@ def combine(
 ) -> LinearConstraint:
     """The primitive row of ``first_factor * first + second_factor * second``.
 
-    This integer multiply-add is the elimination step of Fourier–Motzkin and
-    of equality substitution: callers pick the factors so that one symbol
-    cancels (its zero coefficient is dropped), and give every inequality a
-    positive factor so it keeps its direction.
+    This integer multiply-add is the equality substitution of the simplex
+    presolve: callers pick the factors so that one symbol cancels (its zero
+    coefficient is dropped), and give every inequality a positive factor so
+    it keeps its direction.
     """
     coeffs = {s: first_factor * c for s, c in first.coeffs}
     for s, c in second.coeffs:

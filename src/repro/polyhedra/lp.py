@@ -9,25 +9,28 @@ tolerance or a solver version.  Three queries are provided:
 * :func:`maximize` — the exact supremum of a linear objective over the system;
 * :func:`entails` — does the system imply a given constraint?
 
-The two decision queries are memoized on the canonicalised constraint system
-(:mod:`repro.polyhedra.cache`), and :func:`is_satisfiable` first tries a
-syntactic interval test that needs no simplex at all.
+The two decision queries are memoized on the canonically numbered
+constraint system (:mod:`repro.polyhedra.cache`), and :func:`is_satisfiable`
+first tries a syntactic interval test on the numbered rows
+(:func:`interval_contradiction`, which Fourier–Motzkin's clean-up shares)
+that needs no simplex at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..formulas.symbols import Symbol
 from . import cache
+from .cache import IntRow
 from .constraint import ConstraintKind, LinearConstraint
 from .simplex import ExactLpResult, exact_entails, exact_is_satisfiable, exact_maximize
 
 __all__ = ["maximize", "is_satisfiable", "entails"]
 
 #: Memo tables for the two soundness-critical (and frequently repeated)
-#: queries.  Both are pure functions of the canonicalised constraint system,
+#: queries.  Both are pure functions of the numbered constraint system,
 #: so the tables survive across polyhedra, hull folds and minimization passes.
 _SAT_CACHE = cache.register_cache("lp.is_satisfiable")
 _ENTAILS_CACHE = cache.register_cache("lp.entails")
@@ -53,44 +56,45 @@ def is_satisfiable(constraints: Sequence[LinearConstraint]) -> bool:
     nontrivial = [c for c in constraints if c.coeffs]
     if not nontrivial:
         return True
-    if interval_contradiction(nontrivial):
+    _, _, rows = cache.numbered(nontrivial)
+    if interval_contradiction(rows):
         return False
-    key = cache.canonical_key(nontrivial)
+    key = cache.canonical_key(rows)
     return _SAT_CACHE.lookup(key, lambda: exact_is_satisfiable(nontrivial))
 
 
-def interval_contradiction(constraints: Sequence[LinearConstraint]) -> bool:
-    """Cheap syntactic emptiness test from single-symbol constraints.
+def interval_contradiction(rows: Iterable[IntRow]) -> bool:
+    """Cheap syntactic emptiness test from single-column rows.
 
-    Collects the tightest lower/upper bound each single-symbol constraint
-    puts on its symbol (equalities contribute both); a crossed pair of
-    bounds proves the system empty with no LP call.  ``False`` means
-    "unknown", never "non-empty".
+    Collects the tightest lower/upper bound each single-column row puts on
+    its column (equalities contribute both); a crossed pair of bounds proves
+    the system empty with no LP call.  ``False`` means "unknown", never
+    "non-empty".
     """
     # Bounds are kept as (numerator, positive denominator) pairs and
     # compared by cross-multiplication.
-    lower: dict[Symbol, tuple[int, int]] = {}
-    upper: dict[Symbol, tuple[int, int]] = {}
-    for constraint in constraints:
-        if len(constraint.coeffs) != 1:
+    lower: dict[int, tuple[int, int]] = {}
+    upper: dict[int, tuple[int, int]] = {}
+    for coeffs, constant, is_eq in rows:
+        if len(coeffs) != 1:
             continue
-        symbol, coeff = constraint.coeffs[0]
-        # coeff * symbol + constant (<=|==) 0 bounds symbol by -constant/coeff.
+        ((column, coeff),) = coeffs
+        # coeff * column + constant (<=|==) 0 bounds it by -constant/coeff.
         if coeff > 0:
-            bound = (-constraint.constant, coeff)
+            bound = (-constant, coeff)
         else:
-            bound = (constraint.constant, -coeff)
-        if constraint.kind is ConstraintKind.EQ:
+            bound = (constant, -coeff)
+        if is_eq:
             is_upper = is_lower = True
         else:
             is_upper = coeff > 0
             is_lower = not is_upper
-        if is_upper and (symbol not in upper or _less(bound, upper[symbol])):
-            upper[symbol] = bound
-        if is_lower and (symbol not in lower or _less(lower[symbol], bound)):
-            lower[symbol] = bound
-    for symbol, low in lower.items():
-        high = upper.get(symbol)
+        if is_upper and (column not in upper or _less(bound, upper[column])):
+            upper[column] = bound
+        if is_lower and (column not in lower or _less(lower[column], bound)):
+            lower[column] = bound
+    for column, low in lower.items():
+        high = upper.get(column)
         if high is not None and _less(high, low):
             return True
     return False

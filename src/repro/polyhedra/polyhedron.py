@@ -9,10 +9,9 @@ and entailment.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..formulas.formula import Formula, conjoin
-from ..formulas.polynomial import Polynomial
 from ..formulas.symbols import Symbol
 from .constraint import ConstraintKind, LinearConstraint
 from . import fourier_motzkin, lp
@@ -44,15 +43,6 @@ class Polyhedron:
         return Polyhedron(
             (LinearConstraint.make({}, 1, ConstraintKind.LE),)
         )
-
-    @staticmethod
-    def of_polynomials(
-        le_zero: Sequence[Polynomial] = (), eq_zero: Sequence[Polynomial] = ()
-    ) -> "Polyhedron":
-        """Build from linear polynomials ``p <= 0`` and ``q == 0``."""
-        constraints = [LinearConstraint.le(p) for p in le_zero]
-        constraints += [LinearConstraint.eq(q) for q in eq_zero]
-        return Polyhedron(constraints)
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -126,9 +116,6 @@ class Polyhedron:
     def entails(self, constraint: LinearConstraint) -> bool:
         """Whether every point of the polyhedron satisfies ``constraint``."""
         return lp.entails(self._constraints, constraint)
-
-    def entails_all(self, constraints: Iterable[LinearConstraint]) -> bool:
-        return all(self.entails(c) for c in constraints)
 
     def contains(self, other: "Polyhedron") -> bool:
         """Whether ``other`` is a subset of ``self``."""

@@ -74,10 +74,10 @@ def row_params(suite: str):
     for entry in get_suite(suite).entries:
         marks = []
         if entry.slow:
-            # Slow rows (cold: closest_pair about 25 s, each other 0.2-3.2 s)
-            # carry the repository's slow marker and — like every other
-            # consumer of these rows (the bench harness, `repro bench`) —
-            # only run in full-bench mode.
+            # Slow rows (closest_pair is the slowest of them) carry the
+            # repository's slow marker and — like every other consumer of
+            # these rows (the bench harness, `repro bench`) — only run in
+            # full-bench mode.
             marks = [
                 pytest.mark.slow,
                 pytest.mark.skipif(

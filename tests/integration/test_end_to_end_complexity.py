@@ -6,11 +6,14 @@ the asymptotic classification against the paper's Table 1, and cross-checks
 (the interpreter is the ground-truth oracle).
 """
 
+import random
+
 import sympy
 import pytest
 
 from repro.benchlib import benchmark_by_name
 from repro.core import analyze_program, cost_bound
+from repro.engine import full_bench_enabled
 from repro.lang import Interpreter, parse_program
 
 # Each analysis here takes seconds; CI runs these as a separate parallel job.
@@ -76,6 +79,26 @@ class TestSoundnessAgainstInterpreter:
             substituted = bound.expression.subs(n, size).subs(depth_symbol, size)
             predicted = float(sympy.N(substituted))
             assert actual_cost <= predicted + 1e-6, (name, size, actual_cost, predicted)
+
+    @pytest.mark.skipif(
+        not full_bench_enabled(), reason="slow benchmark row; set REPRO_FULL_BENCH=1"
+    )
+    def test_closest_pair_bound_covers_concrete_runs(self):
+        # The closed form's log(n/3 - 1/3) is undefined at n = 1.
+        spec, program, bound = analyse("closest_pair")
+        assert bound.found
+        n = sympy.Symbol("n", positive=True)
+        # nondet() == 1 keeps every strip element (the worst case); the
+        # seeded runs draw from the default range.
+        interpreters = [Interpreter(program, nondet_range=(1, 2))] + [
+            Interpreter(program, rng=random.Random(seed)) for seed in range(3)
+        ]
+        for size in (2, 3, 4, 5, 8, 13, 16, 31, 64, 100):
+            predicted = float(sympy.N(bound.expression.subs(n, size)))
+            for interpreter in interpreters:
+                run = interpreter.run(spec.procedure, [size])
+                actual_cost = run.globals[spec.cost_variable]
+                assert actual_cost <= predicted + 1e-6, (size, actual_cost, predicted)
 
     def test_hanoi_bound_is_exact(self):
         spec, program, bound = analyse("hanoi")

@@ -128,6 +128,11 @@ class TestOracle:
         n = sympy.Symbol("n", positive=True)
         assert _BoundClaim("chora", "cost", 1 / (n - 2)).evaluated_at({"n": 2}) is None
         assert _BoundClaim("chora", "cost", sympy.sqrt(n - 5)).evaluated_at({"n": 1}) is None
+        # closest_pair's cost bound: at n = 1 a Max compares log(0) and raises.
+        depth = sympy.Max(1, sympy.log(n / 3 - sympy.Rational(1, 3)) / sympy.log(2) + 2)
+        closest_pair = 12 * 2**depth * depth - 23 * 2**depth / 2
+        assert _BoundClaim("chora", "cost", closest_pair).evaluated_at({"n": 1}) is None
+        assert _BoundClaim("chora", "cost", closest_pair).evaluated_at({"n": 2}) == 1.0
 
     def test_assert_unsound_detection_end_to_end(self, monkeypatch):
         # Forge a tool that "proves" the data-dependent assertion: the
