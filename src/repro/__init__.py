@@ -15,8 +15,8 @@ Public entry points
 * :mod:`repro.baselines` — ICRA-style and bounded-unrolling baselines.
 * :mod:`repro.benchlib` — every benchmark program used in the paper's
   evaluation (Table 1, Table 2, Figure 3, and the worked examples).
-* :mod:`repro.engine` — the parallel batch engine, result cache and
-  suite sharding behind ``repro bench``.
+* :mod:`repro.engine` — the parallel batch engine and result cache behind
+  ``repro bench``.
 * :mod:`repro.service` — the warm-worker analysis service behind
   ``repro serve``.
 

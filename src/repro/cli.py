@@ -6,7 +6,7 @@
                 [--lint]
     repro bench --suite table1|fig3|table2|all [--tool chora|icra|unrolling]
                 [--depth N] [--jobs N] [--full] [--json]
-                [--engine pool|warm] [--shard I/N] [--lint]
+                [--engine pool|warm] [--lint]
     repro lint FILE ... [--severity error|warning|info] [--disable CODES]
                [--json]
     repro batch --url URL (--suite NAME | --tasks FILE) [--deadline-ms MS]
@@ -29,10 +29,8 @@ through the batch engine: programs run concurrently in worker processes,
 results are cached on disk, and a pathological program can at worst time out
 — never sink the batch; ``--tool`` swaps in one of the paper's comparison
 baselines, ``--engine warm`` serves the batch from long-lived warm workers
-instead of one process per task, ``--shard i/n`` runs one deterministic
-slice of the suite and merges the other shards' results from the shared
-result cache; under the default engine every task the cache misses runs
-cold in its own fork.  ``serve`` starts the warm analysis service, whose workers keep their warm
+instead of one process per task; under the default engine every task the
+cache misses runs cold in its own fork.  ``serve`` starts the warm analysis service, whose workers keep their warm
 state in memory for as long as they live: an asyncio HTTP endpoint
 (versioned under ``/v1``, with keep-alive, bounded admission, per-request
 deadlines and a ``/v1/metrics`` SLO document that also carries the pool
@@ -180,13 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="pool",
         help="pool: one forked process per task (default); warm: long-lived"
         " warm workers with hot caches (see repro serve)",
-    )
-    bench.add_argument(
-        "--shard",
-        metavar="I/N",
-        default=None,
-        help="run the i-th of n deterministic suite slices and merge the"
-        " other shards' results from the shared result cache",
     )
     _lint_gate_argument(bench)
     _engine_arguments(bench, jobs=True)
@@ -666,29 +657,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
         directory=arguments.cache_dir,
     )
 
-    shard = None
-    run_tasks = tasks
-    mine: list = []
-    foreign: list = []
-    if arguments.shard is not None:
-        from .engine.shard import merged_shard_results, parse_shard, partition_tasks
-
-        try:
-            shard = parse_shard(arguments.shard)
-        except ValueError as error:
-            print(f"repro: {error}", file=sys.stderr)
-            return 2
-        if cache is None:
-            print(
-                "repro: --shard needs the result cache (it is the shared store"
-                " that merges the shards); drop --no-cache and point every"
-                " shard's --cache-dir at one directory",
-                file=sys.stderr,
-            )
-            return 2
-        mine, foreign = partition_tasks(tasks, *shard)
-        run_tasks = [task for _, task in mine]
-
     def progress(result: BatchResult) -> None:
         if not arguments.json:
             print(f"  {result.name}: {_verdict(result)}", flush=True)
@@ -705,7 +673,7 @@ def _command_bench(arguments: argparse.Namespace) -> int:
             # The same suite-serving path POST /batch uses, so a local warm
             # bench and a served suite return identical records.
             results, _ = run_batch(
-                pool, run_tasks, suite=arguments.suite, progress=progress
+                pool, tasks, suite=arguments.suite, progress=progress
             )
     else:
         engine = BatchEngine(
@@ -714,12 +682,7 @@ def _command_bench(arguments: argparse.Namespace) -> int:
             cache=cache,
             options=options,
         )
-        results = engine.run(run_tasks, progress=progress)
-
-    if shard is not None:
-        results = merged_shard_results(
-            tasks, results, mine, foreign, cache, options, shard[1]
-        )
+        results = engine.run(tasks, progress=progress)
 
     totals = summarize_batch(results)
     if arguments.json:
@@ -729,7 +692,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
                     "suite": arguments.suite,
                     "tool": arguments.tool,
                     "engine": arguments.engine,
-                    "shard": arguments.shard,
                     "jobs": arguments.jobs,
                     "full": full,
                     "results": [result.to_dict() for result in results],
@@ -741,14 +703,7 @@ def _command_bench(arguments: argparse.Namespace) -> int:
         )
     else:
         _print_batch_report(results, totals)
-    if totals["error"] or totals["crash"]:
-        return 1
-    # Exit 3 distinguishes "this shard succeeded but the merged suite is
-    # still missing other shards' results" from a complete run, so a
-    # driver coordinating N machines can poll on the exit status.
-    if totals["pending"]:
-        return 3
-    return 0
+    return 1 if totals["error"] or totals["crash"] else 0
 
 
 def _print_batch_report(results, totals: dict) -> None:
@@ -777,11 +732,10 @@ def _print_batch_report(results, totals: dict) -> None:
         value = totals.get(key)
         return value if isinstance(value, (int, float)) else 0
 
-    pending = f", {count('pending')} pending" if count("pending") else ""
     crash = f", {count('crash')} crash" if count("crash") else ""
     print(
         f"\n{count('ok')}/{count('total')} ok, {count('proved')} proved, "
-        f"{count('timeout')} timeout, {count('error')} error{crash}{pending}, "
+        f"{count('timeout')} timeout, {count('error')} error{crash}, "
         f"{count('cache_hits')} cache hits, {count('wall_time'):.2f}s total"
     )
 
@@ -920,25 +874,27 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         return 2
     host, port = server.address
     routes = ", ".join(f"{method} {name}" for name, method in server.ROUTES.items())
-    print(
-        f"repro serve: {arguments.workers} warm workers on http://{host}:{port}"
-        f" (/v1: {routes}; admits {server.capacity} requests; Ctrl-C stops)",
-        flush=True,
-    )
     # SIGTERM (what init systems and CI send) must take the same clean
     # shutdown path as Ctrl-C, so the server stops and joins its workers
     # instead of dying past them; background jobs in non-interactive shells
-    # cannot even receive SIGINT.
+    # cannot even receive SIGINT.  Callers wait for the banner before they
+    # signal, so it is printed only once the handler is in place.
     import signal
 
     def _on_sigterm(signum, frame):
         raise KeyboardInterrupt
 
+    previous = None
     try:
-        previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:  # not on the main thread (embedded in tests)
-        previous = None
-    try:
+        try:
+            previous = signal.signal(signal.SIGTERM, _on_sigterm)
+        except ValueError:  # not on the main thread (embedded in tests)
+            pass
+        print(
+            f"repro serve: {arguments.workers} warm workers on http://{host}:{port}"
+            f" (/v1: {routes}; admits {server.capacity} requests; Ctrl-C stops)",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)
@@ -1157,8 +1113,7 @@ def _fuzz_violation_kinds(result: BatchResult) -> set[str]:
 
     Engine-level outcomes map onto finding kinds: a worker crash is an
     analyser bug (``analyzer-crash``), a task error is an infrastructure or
-    generator bug (``oracle-error``); timeouts and pending results are skips,
-    not findings.
+    generator bug (``oracle-error``); timeouts are skips, not findings.
     """
     if result.outcome == "crash":
         return {"analyzer-crash"}
@@ -1216,7 +1171,7 @@ def _command_fuzz(arguments: argparse.Namespace) -> int:
     findings: list[dict] = []
     skipped = 0
     for result in results:
-        if result.outcome in ("timeout", "pending"):
+        if result.outcome == "timeout":
             skipped += 1
             continue
         kinds = _fuzz_violation_kinds(result)
@@ -1382,9 +1337,7 @@ def _command_cache(arguments: argparse.Namespace) -> int:
     try:
         if arguments.action == "clear":
             removed = cache.clear()
-            print(
-                f"removed {removed} cached results from {cache.storage.location()}"
-            )
+            print(f"removed {removed} cached results from {cache.directory}")
             return 0
         stats = cache.stats()
         print(f"store: {stats['directory']}")

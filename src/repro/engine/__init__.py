@@ -11,18 +11,12 @@ The engine is the scale substrate the evaluation harnesses sit on:
 * :class:`~repro.engine.tasks.AnalysisTask` — one unit of work, with an
   extensible registry of task kinds (CHORA complexity / assertion checking,
   the ICRA and unrolling baselines, whole-program summaries);
-* :mod:`repro.engine.storage` — the pluggable storage interface behind the
-  result cache (a local directory, a shared network directory serving N
-  machines, an in-memory test backend);
-* :mod:`repro.engine.shard` — deterministic suite sharding over the
-  host-independent cache key (``repro bench --shard i/n``), merging the
-  other shards' results from the shared store;
 * :mod:`repro.engine.suites` — build task batches from the benchmark suites
   of :mod:`repro.benchlib`;
 * :mod:`repro.engine.profile` — the perf-history recorder and regression
   gate (``repro profile``), including the cold-vs-warm engine comparison;
 * :mod:`repro.engine.config` — the environment switches shared by the CLI,
-  the bench scripts and the examples (``REPRO_FULL_BENCH``, cache location).
+  the tests and the examples (``REPRO_FULL_BENCH``, cache location).
 
 The *serving* counterpart — long-lived warm workers behind an HTTP
 endpoint — lives in :mod:`repro.service` and reuses the task registry and
@@ -39,8 +33,6 @@ from .config import (
     default_cache_directory,
     full_bench_enabled,
 )
-from .shard import parse_shard, partition_tasks, shard_index
-from .storage import CacheStorage, DirectoryStorage, MemoryStorage
 from .suites import suite_tasks
 from .tasks import (
     AnalysisTask,
@@ -56,18 +48,12 @@ __all__ = [
     "summarize_batch",
     "ResultCache",
     "make_cache",
-    "CacheStorage",
-    "DirectoryStorage",
-    "MemoryStorage",
     "AnalysisTask",
     "execute_task",
     "register_kind",
     "registered_kinds",
     "set_program_analyzer",
     "suite_tasks",
-    "parse_shard",
-    "partition_tasks",
-    "shard_index",
     "CACHE_DIR_ENV",
     "FULL_BENCH_ENV",
     "NO_CACHE_ENV",

@@ -35,10 +35,8 @@ from .tasks import AnalysisTask, InvalidProgram, execute_task
 
 __all__ = ["BatchEngine", "BatchResult", "summarize_batch"]
 
-#: Result outcomes, from best to worst.  ``pending`` only appears in sharded
-#: runs: the task belongs to another shard and its result has not reached
-#: the shared cache yet.
-OUTCOMES = ("ok", "pending", "timeout", "error", "crash")
+#: Result outcomes, from best to worst.
+OUTCOMES = ("ok", "timeout", "error", "crash")
 
 
 @dataclass(frozen=True)
@@ -440,7 +438,6 @@ def summarize_batch(results: Sequence[BatchResult]) -> dict[str, Any]:
         "timeout": sum(result.outcome == "timeout" for result in results),
         "error": sum(result.outcome == "error" for result in results),
         "crash": sum(result.outcome == "crash" for result in results),
-        "pending": sum(result.outcome == "pending" for result in results),
         "cache_hits": sum(result.cache_hit for result in results),
         "wall_time": round(sum(result.wall_time for result in results), 3),
     }

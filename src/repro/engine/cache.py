@@ -10,13 +10,13 @@ a version bump) each invalidates the affected entries.  Benchmark *names*
 are deliberately not part of the key: two suites sharing a program share its
 cached result.
 
-Entries are single JSON documents named by the key's SHA-256 digest, held
-in a pluggable :class:`~repro.engine.storage.CacheStorage` backend.  The
-default backend is a directory of files written atomically (temp file +
-rename) so concurrent engines — including ``repro bench --shard i/n``
-shards on different machines pointing at one shared directory — can mix
-reads and writes safely; the key is host-independent, so a shared store
-turns N machines into one batch.
+Entries are single JSON documents in one directory, each named by its key's
+SHA-256 digest (``<digest>.json``).  Every entry is written to a temp file
+and renamed into place, so concurrent writers — ``repro serve`` and
+``repro bench`` share the default directory — can mix reads and writes
+safely: a reader sees the complete old entry or the complete new one, never
+a torn one.  Last-writer-wins races are benign because entries are
+content-addressed.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
 from .. import __version__
 from ..core import ChoraOptions
 from .config import cache_enabled, default_cache_directory
-from .storage import CacheStorage, DirectoryStorage
 from .tasks import AnalysisTask
 
 __all__ = ["ResultCache", "make_cache", "CACHE_SCHEMA_VERSION"]
@@ -92,51 +93,51 @@ def make_cache(
 
 
 class ResultCache:
-    """Content-addressed analysis payloads over a pluggable storage backend.
+    """Content-addressed analysis payloads, one JSON file per entry."""
 
-    ``ResultCache(directory)`` keeps the historical behaviour (one JSON file
-    per entry in ``directory``); ``ResultCache(storage=backend)`` accepts
-    any :class:`~repro.engine.storage.CacheStorage`, which is how tests
-    substitute an in-memory store without the engine noticing.
-    """
-
-    def __init__(
-        self,
-        directory: Optional[Path | str] = None,
-        *,
-        storage: Optional[CacheStorage] = None,
-    ):
-        if storage is None:
-            if directory is None:
-                raise ValueError("ResultCache needs a directory or a storage backend")
-            storage = DirectoryStorage(directory)
-        elif directory is not None:
-            raise ValueError("pass either a directory or a storage backend, not both")
-        self.storage = storage
-
-    @property
-    def directory(self) -> Optional[Path]:
-        """The backing directory, when the backend has one (else ``None``)."""
-        if isinstance(self.storage, DirectoryStorage):
-            return self.storage.directory
-        return None
+    def __init__(self, directory: Path | str):
+        self.directory = Path(directory)
 
     def key(self, task: AnalysisTask, options: ChoraOptions) -> str:
         return cache_key(task, options)
 
-    def _load_entry(self, key: str) -> Optional[dict[str, Any]]:
-        data = self.storage.read(key)
-        if data is None:
-            return None
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}.json"
+
+    def _entry_paths(self) -> list[Path]:
+        if not self.directory.is_dir():
+            return []
+        return list(self.directory.glob("*.json"))
+
+    def _write(self, key: str, data: bytes) -> None:
+        """Store ``data`` under ``key`` atomically (temp file + rename)."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        descriptor, temp_path = tempfile.mkstemp(
+            dir=self.directory, prefix=".cache-", suffix=".tmp"
+        )
         try:
-            entry = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(data)
+            os.replace(temp_path, self._path(key))
+        except BaseException:
+            try:
+                os.unlink(temp_path)
+            except OSError:
+                pass
+            raise
+
+    @staticmethod
+    def _load_entry(path: Path) -> Optional[dict[str, Any]]:
+        """The entry stored at ``path``; ``None`` when absent or corrupt."""
+        try:
+            entry = json.loads(path.read_bytes().decode("utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         return entry if isinstance(entry, dict) else None
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
         """The cached payload for ``key``, or ``None`` on a miss."""
-        entry = self._load_entry(key)
+        entry = self._load_entry(self._path(key))
         if entry is None:
             return None
         payload = entry.get("payload")
@@ -164,7 +165,7 @@ class ResultCache:
         }
         try:
             data = json.dumps(entry, sort_keys=True).encode("utf-8")
-            self.storage.write(key, data)
+            self._write(key, data)
         except (OSError, TypeError, ValueError):
             # A broken cache must never break the analysis run.
             return
@@ -172,9 +173,12 @@ class ResultCache:
     def clear(self) -> int:
         """Delete all entries; returns how many were removed."""
         removed = 0
-        for name in list(self.storage.names()):
-            if self.storage.delete(name):
-                removed += 1
+        for path in self._entry_paths():
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            removed += 1
         return removed
 
     def stats(self) -> dict[str, Any]:
@@ -186,23 +190,19 @@ class ResultCache:
         The breakdown reads every entry: an on-demand report for ``repro
         cache stats``, not a monitoring probe.
         """
-        names = list(self.storage.names())
+        paths = self._entry_paths()
         stats: dict[str, Any] = {
-            "directory": self.storage.location(),
-            "entries": len(names),
+            "directory": str(self.directory),
+            "entries": len(paths),
         }
         size = 0
         suites: dict[str, int] = {}
-        for name in names:
-            data = self.storage.read(name)
-            if data is None:
-                continue
-            size += len(data)
+        for path in paths:
             try:
-                entry = json.loads(data.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                entry = None
-            suite = (entry or {}).get("suite") or "(none)"
+                size += path.stat().st_size
+            except OSError:
+                continue
+            suite = (self._load_entry(path) or {}).get("suite") or "(none)"
             suites[suite] = suites.get(suite, 0) + 1
         stats["bytes"] = size
         stats["suites"] = dict(sorted(suites.items()))

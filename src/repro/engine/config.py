@@ -1,8 +1,6 @@
-"""Environment configuration shared by the engine, the CLI and the benches.
-
-The bench harness historically read ``REPRO_FULL_BENCH`` from its own
-``conftest.py``; the flag lives here now so the CLI, the examples and the
-pytest harness stay in sync (``benchmarks/conftest.py`` re-exports it).
+"""Environment configuration shared by the engine, the CLI, the tests and
+the examples, so they all read ``REPRO_FULL_BENCH`` and the cache location
+the same way.
 """
 
 from __future__ import annotations

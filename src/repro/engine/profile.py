@@ -1,10 +1,10 @@
 """Perf tracking: timing records, BENCH_*.json files and the regression gate.
 
-The perf trajectory of the reproduction is a tracked, machine-readable
-artefact: every ``repro profile`` run appends one *entry* to an append-only
-JSON file (``benchmarks/perf/BENCH_table2.json`` and friends), so the history
-of a suite's wall-clock — before and after each optimisation — lives in the
-repository next to the code that produced it.
+Every ``repro profile`` run appends one *entry* to an append-only JSON file
+(``benchmarks/perf/BENCH_table2.json`` and friends), so one checkout keeps
+the history of a suite's wall-clock on its own machine, before and after
+each change.  The directory is git-ignored: timings from different machines
+do not compare, and the repository's perf claims are perfbench pairs.
 
 Two kinds of entries exist:
 
@@ -17,7 +17,7 @@ Two kinds of entries exist:
   minimization, DNF enumeration, exact satisfiability) in isolation.
 
 :func:`compare_entries` implements the regression gate used by CI: the
-current entry is compared row-by-row against the last committed entry and
+current entry is compared row-by-row against the last recorded entry and
 any slow-down beyond the threshold fails the run.
 """
 

@@ -90,9 +90,14 @@ class Polyhedron:
         return Polyhedron(fourier_motzkin.eliminate(self._constraints, symbols))
 
     def project_onto(self, symbols: Iterable[Symbol]) -> "Polyhedron":
-        """Project onto the given symbols (eliminate all others)."""
+        """Project onto the given symbols (eliminate all others).
+
+        The symbols to drop go to Fourier–Motzkin in ``str`` order, not set
+        order: the order is part of its memo key, so set order would make
+        the projection's memo hits depend on the hash seed.
+        """
         keep = frozenset(symbols)
-        drop = [s for s in self.symbols if s not in keep]
+        drop = sorted((s for s in self.symbols if s not in keep), key=str)
         return self.eliminate(drop)
 
     def join(self, other: "Polyhedron") -> "Polyhedron":

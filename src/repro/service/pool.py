@@ -32,6 +32,7 @@ result cache alone.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue
 import threading
 import time
@@ -74,6 +75,10 @@ def _worker_main(connection, options: ChoraOptions) -> None:
     analyzer = IncrementalAnalyzer()
     previous = set_program_analyzer(analyzer.analyze)
     requests = 0
+    # A forked worker inherits copies of the parent's pipe ends, so the
+    # parent's death does not reach it as EOF: it notices instead that it
+    # has been re-parented, and exits rather than live on as an orphan.
+    parent = os.getppid()
     try:
         # Tell the parent start-up is done (imports paid), so request
         # deadlines measure analysis time, not spawn time.
@@ -81,6 +86,10 @@ def _worker_main(connection, options: ChoraOptions) -> None:
         with keep_warm():
             while True:
                 try:
+                    if not connection.poll(1.0):
+                        if os.getppid() != parent:
+                            break
+                        continue
                     message = connection.recv()
                 except (EOFError, OSError):
                     break

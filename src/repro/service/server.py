@@ -827,9 +827,9 @@ class AnalysisServer:
             )
         except Exception as error:
             # The pool can fail out from under a request (a closed pool
-            # during shutdown raises RuntimeError, a broken storage backend
-            # can raise anything): answer 500 with the envelope instead of
-            # dropping the connection with a stderr traceback.
+            # during shutdown raises RuntimeError): answer 500 with the
+            # envelope instead of dropping the connection with a stderr
+            # traceback.
             if self.verbose:
                 traceback.print_exc()
             wrapped = _HttpError(

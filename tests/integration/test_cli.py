@@ -169,6 +169,12 @@ class TestBenchTool:
         assert code == 2
         assert "--depth" in err
 
+    def test_bench_has_no_shard_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--suite", "table2", "--shard", "1/2"])
+        assert exit_info.value.code == 2
+        assert "--shard" in capsys.readouterr().err
+
     def test_bench_runs_the_unrolling_baseline(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -214,6 +220,16 @@ class TestProfileCommand:
         data = json.loads(bench_file.read_text(encoding="utf-8"))
         assert len(data["entries"]) == 2
         assert "baseline" in out and "ratio" in out
+
+    def test_first_entry_creates_the_perf_directory(self, tmp_path):
+        """The perf history is per checkout and not committed, so the first
+        recorded entry must create its directory."""
+        from repro.engine import profile as perf
+
+        path = perf.bench_path(tmp_path / "benchmarks" / "perf", "micro")
+        entry = {"kind": "micro", "label": "first", "rows": []}
+        perf.append_entry(path, entry)
+        assert perf.load_entries(path) == [entry]
 
     def test_regression_gate_fails_on_slowdown(self, tmp_path, capsys):
         from repro.engine import profile as perf

@@ -8,7 +8,13 @@ row and every parseable minimized fuzz reproducer in ``tests/regression/fuzz``
 child interpreters started concurrently with ``PYTHONHASHSEED=0`` and
 ``=1``.  The fuzz-corpus and suite tests require each program's payload to be
 equal under both seeds, ``summaries`` included; the suite tests also compare
-the rendered report tables.
+the rendered report tables.  The memo test requires every polyhedral memo
+table to count the same hits and misses on each program under both seeds:
+a memo key built in set order would hit under one seed and miss under the
+other, so the same work would cost different time.  The cache-key test
+requires every suite row, slow rows included, to have the same result-cache
+key under both seeds, since processes with different seeds share one cache
+directory.
 
 The splice test replays the corpus through
 :class:`~repro.core.incremental.IncrementalAnalyzer` and requires every
@@ -57,21 +63,28 @@ FUZZ_CORPUS = [
 ]
 
 #: Run by each child interpreter: analyse every fast suite row and every
-#: corpus program (paths in argv) cold, then print one sorted-key document.
+#: corpus program (paths in argv) cold, then print one sorted-key document
+#: of each program's payload and memo-table counters, plus the result-cache
+#: key of every suite row, slow rows included.
 _CHILD = """
 import json, sys
 from pathlib import Path
+from repro.core import ChoraOptions
 from repro.engine import AnalysisTask, execute_task, suite_tasks
-from repro.polyhedra.cache import clear_caches
+from repro.engine.cache import cache_key
+from repro.polyhedra.cache import cache_stats, clear_caches
 
 tasks = [(f"{task.suite}/{task.name}", task) for task in suite_tasks("all", full=False)]
 for path in map(Path, sys.argv[1:]):
     task = AnalysisTask(name=path.stem, source=path.read_text(), kind="analyze")
     tasks.append((f"fuzz/{path.stem}", task))
-document = {}
+document = {"payloads": {}, "memo": {}, "cache_keys": {}}
+for task in suite_tasks("all", full=True):
+    document["cache_keys"][f"{task.suite}/{task.name}"] = cache_key(task, ChoraOptions())
 for key, task in tasks:
     clear_caches(force=True)
-    document[key] = execute_task(task)
+    document["payloads"][key] = execute_task(task)
+    document["memo"][key] = cache_stats()
 print(json.dumps(document, sort_keys=True))
 """
 
@@ -127,7 +140,7 @@ def _suite_results(document: dict, suite: str) -> list[BatchResult]:
     """One suite's rows of a child document, in suite order."""
     results = []
     for task in suite_tasks(suite, full=False):
-        payload = document[f"{suite}/{task.name}"]
+        payload = document["payloads"][f"{suite}/{task.name}"]
         results.append(
             BatchResult(
                 name=task.name,
@@ -151,7 +164,8 @@ class TestFuzzCorpusDeterminism:
         """The one serial walk gives each reproducer the same payload,
         summaries included, under either hash seed."""
         first, second = (
-            document[f"fuzz/{path.stem}"] for document in hash_seed_documents
+            document["payloads"][f"fuzz/{path.stem}"]
+            for document in hash_seed_documents
         )
         assert first == second, f"{path.stem} differs between hash seeds"
 
@@ -175,6 +189,33 @@ class TestSuiteDeterminism:
             )
             if render is not None:
                 assert render(first) == render(second)
+
+
+class TestMemoDeterminism:
+    def test_memo_counters_match_between_hash_seeds(self, hash_seed_documents):
+        """Every program does the same memoized work under either seed."""
+        first, second = (document["memo"] for document in hash_seed_documents)
+        assert first.keys() == second.keys()
+        differing = {
+            key: (first[key], second[key])
+            for key in first
+            if first[key] != second[key]
+        }
+        assert not differing, f"memo counters differ between hash seeds: {differing}"
+
+
+ALL_ROWS = [f"{task.suite}/{task.name}" for task in suite_tasks("all", full=True)]
+
+
+class TestCacheKeyDeterminism:
+    @pytest.mark.parametrize("row", ALL_ROWS)
+    def test_cache_key_matches_between_hash_seeds(self, row, hash_seed_documents):
+        """``repro serve`` and ``repro bench`` run under different hash
+        seeds and share one cache directory: each row's key must not move."""
+        first, second = (
+            document["cache_keys"][row] for document in hash_seed_documents
+        )
+        assert first == second, f"{row}'s cache key differs between hash seeds"
 
 
 class TestIncrementalSpliceDeterminism:

@@ -86,7 +86,7 @@ _OK_BATCH = {
     "incremental": [],
     "totals": {
         "total": 1, "ok": 1, "proved": 1, "timeout": 0,
-        "error": 0, "crash": 0, "pending": 0, "cache_hits": 0,
+        "error": 0, "crash": 0, "cache_hits": 0,
         "wall_time": 0.01,
     },
 }

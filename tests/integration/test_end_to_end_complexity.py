@@ -11,8 +11,9 @@ import random
 import sympy
 import pytest
 
+from repro.abstraction import AbstractionOptions
 from repro.benchlib import benchmark_by_name
-from repro.core import analyze_program, cost_bound
+from repro.core import ChoraOptions, analyze_program, cost_bound
 from repro.engine import full_bench_enabled
 from repro.lang import Interpreter, parse_program
 
@@ -20,10 +21,10 @@ from repro.lang import Interpreter, parse_program
 pytestmark = pytest.mark.slow
 
 
-def analyse(name):
+def analyse(name, options=ChoraOptions()):
     spec = benchmark_by_name(name)
     program = parse_program(spec.source)
-    result = analyze_program(program)
+    result = analyze_program(program, options)
     bound = cost_bound(
         result, spec.procedure, spec.cost_variable, substitutions=spec.substitutions
     )
@@ -58,6 +59,36 @@ class TestClassifications:
     def test_karatsuba_matches_paper_exponent(self):
         _, _, bound = analyse("karatsuba")
         assert bound.asymptotic == "O(n^log2(3))"
+
+
+class TestAblations:
+    """hanoi's bound with the paper's mechanisms switched off one at a time.
+
+    Neither two-region analysis (§4.3) nor the Alg. 4 depth model (§4.2) is
+    needed for hanoi's O(2^n); the weak join in place of the exact hull is
+    sound, and may lose the bound.  With every mechanism on, the bound is
+    ``TestClassifications.test_hanoi_is_exponential``.
+    """
+
+    @pytest.mark.parametrize(
+        "options, bounds",
+        [
+            pytest.param(
+                ChoraOptions(use_two_region=False), {"O(2^n)"}, id="two-region-off"
+            ),
+            pytest.param(
+                ChoraOptions(use_alg4_depth=False), {"O(2^n)"}, id="alg4-depth-off"
+            ),
+            pytest.param(
+                ChoraOptions(abstraction=AbstractionOptions(exact_hull=False)),
+                {"O(2^n)", "n.b."},
+                id="weak-join",
+            ),
+        ],
+    )
+    def test_hanoi_bound_under_ablation(self, options, bounds):
+        _, _, bound = analyse("hanoi", options)
+        assert bound.asymptotic in bounds
 
 
 class TestSoundnessAgainstInterpreter:

@@ -5,8 +5,8 @@ requests from spliced summaries (measurably below a cold run), results
 agree with the cold engine, failures replace workers without sinking the
 service, ``POST /v1/batch`` serves whole suites bit-identically to
 ``repro bench``, warm state never reaches the disk, and
-``repro bench --engine warm`` / ``repro batch`` /
-``repro loadtest`` / ``--shard`` round-trip through the CLI.  The asyncio
+``repro bench --engine warm`` / ``repro batch`` / ``repro loadtest``
+round-trip through the CLI, and ``repro serve`` leaves no worker behind.  The asyncio
 front-end's SLO machinery has its own classes below: the ``/v1`` route
 aliasing and error envelope (``TestV1Api``), bounded admission
 (``TestBackpressure``), per-request deadlines (``TestDeadlines``) and the
@@ -31,7 +31,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.engine import AnalysisTask, BatchEngine, MemoryStorage, ResultCache
+from repro.core import ChoraOptions
+from repro.engine import AnalysisTask, BatchEngine, ResultCache, suite_tasks
+from repro.engine.cache import cache_key
 from repro.engine.tasks import register_kind
 from repro.service import (
     AnalysisServer,
@@ -40,6 +42,7 @@ from repro.service import (
     WorkerPool,
     serve,
 )
+from repro.service.server import tasks_from_batch_request
 
 TRIVIAL = "int main(int n) { assume(n >= 0); int r = n + 1; assert(r >= 1); return r; }"
 
@@ -187,8 +190,8 @@ class TestWorkerPool:
             assert after.outcome == "ok"
             assert pool.stats_dict()["restarts"] == 0
 
-    def test_pool_uses_the_result_cache(self):
-        cache = ResultCache(storage=MemoryStorage())
+    def test_pool_uses_the_result_cache(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         task = AnalysisTask(name="toy", source=TRIVIAL, kind="assertion", suite="toy")
         with WorkerPool(workers=1, cache=cache) as pool:
             first = pool.submit(task)
@@ -478,7 +481,6 @@ class TestBatchRoute:
             "timeout": 0,
             "error": 0,
             "crash": 0,
-            "pending": 0,
             "cache_hits": 0,
             "wall_time": document["totals"]["wall_time"],
         }
@@ -507,6 +509,69 @@ class TestBatchRoute:
             with pytest.raises(urllib.error.HTTPError) as error:
                 urllib.request.urlopen(request, timeout=30)
             assert error.value.code == 400, body
+
+
+def _inline(task: AnalysisTask) -> dict:
+    """``task`` as a client writes it in an inline ``POST /v1/batch`` list."""
+    return {
+        "name": task.name,
+        "source": task.source,
+        "kind": task.kind,
+        "procedure": task.procedure,
+        "cost_variable": task.cost_variable,
+        "substitutions": dict(task.substitutions),
+        "params": dict(task.params),
+        "suite": task.suite,
+    }
+
+
+ALL_ROWS = suite_tasks("all", full=True)
+
+#: Every (suite, tool) pair ``repro bench`` accepts, unrolling at depth 2.
+SUITE_TOOLS = [
+    ("table1", "chora", None),
+    ("table1", "icra", None),
+    ("fig3", "chora", None),
+    ("fig3", "icra", None),
+    ("fig3", "unrolling", 2),
+    ("table2", "chora", None),
+    ("table2", "icra", None),
+    ("table2", "unrolling", 2),
+]
+
+
+class TestBatchBodies:
+    """``POST /v1/batch`` bodies parse to the tasks ``repro bench`` runs, so
+    a served batch and a local bench share result-cache entries."""
+
+    @pytest.mark.parametrize(
+        "task", ALL_ROWS, ids=[f"{task.suite}/{task.name}" for task in ALL_ROWS]
+    )
+    def test_inline_row_is_the_suite_task(self, task):
+        body = json.dumps({"tasks": [_inline(task)]}).encode("utf-8")
+        label, tasks, deadline_ms = tasks_from_batch_request(body)
+        assert (label, deadline_ms) == (None, None)
+        assert tasks == [task]
+        assert cache_key(tasks[0], ChoraOptions()) == cache_key(task, ChoraOptions())
+
+    @pytest.mark.parametrize(
+        "suite, tool, depth",
+        SUITE_TOOLS,
+        ids=[f"{suite}-{tool}" for suite, tool, _ in SUITE_TOOLS],
+    )
+    def test_suite_reference_and_inline_list_agree(self, suite, tool, depth):
+        reference = {"suite": suite, "tool": tool, "full": True}
+        if depth is not None:
+            reference["depth"] = depth
+        label, by_reference, _ = tasks_from_batch_request(
+            json.dumps(reference).encode("utf-8")
+        )
+        assert label == suite
+        assert by_reference == suite_tasks(suite, True, tool, depth)
+        inline = [_inline(task) for task in by_reference]
+        _, by_list, _ = tasks_from_batch_request(json.dumps(inline).encode("utf-8"))
+        assert by_list == by_reference
+        assert len({cache_key(task, ChoraOptions()) for task in by_list}) == len(by_list)
 
 
 def _start_server(pool, **kwargs):
@@ -1014,6 +1079,109 @@ class TestServeBanner:
             f"{method} {name}" for name, method in AnalysisServer.ROUTES.items()
         ]
 
+    def test_banner_is_written_once_sigterm_is_handled(self, monkeypatch):
+        """A caller that signals as soon as it reads the banner must reach
+        the clean shutdown path, never the default SIGTERM action."""
+
+        class Server:
+            ROUTES = AnalysisServer.ROUTES
+            address = ("127.0.0.1", 0)
+            capacity = 1
+            closed = False
+
+            def serve_forever(self):
+                pass
+
+            def close(self):
+                self.closed = True
+
+        class Stdout:
+            def __init__(self):
+                self.handlers = []
+
+            def write(self, text):
+                if text.startswith("repro serve:"):
+                    self.handlers.append(signal.getsignal(signal.SIGTERM))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        server, stdout = Server(), Stdout()
+        monkeypatch.setattr("repro.service.serve", lambda **_: server)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["serve", "--port", "0", "--workers", "1", "--no-cache"]) == 0
+        assert len(stdout.handlers) == 1
+        assert callable(stdout.handlers[0]) and stdout.handlers[0] is not before
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert server.closed
+
+
+def _live_children(pid: int) -> list[int]:
+    """The PIDs of ``pid``'s children that have not exited, from /proc."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except (OSError, IndexError, ValueError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="finds the workers in /proc"
+)
+class TestServeOrphans:
+    def test_workers_exit_when_the_server_is_killed(self):
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--port", "0", "--workers", "2", "--no-cache",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=environment,
+            text=True,
+        )
+        workers: list[int] = []
+        try:
+            readable, _, _ = select.select([process.stdout], [], [], 120)
+            assert readable and process.stdout.readline().startswith("repro serve:")
+            workers = _live_children(process.pid)
+            assert len(workers) == 2
+            # SIGKILL runs no handler: only the workers can notice.
+            process.kill()
+            process.wait()
+            deadline = time.monotonic() + 15
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            for pid in workers:
+                if _running(pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except OSError:
+                        pass
+            process.stdout.close()
+
 
 class TestBatchCli:
     @pytest.fixture()
@@ -1178,62 +1346,3 @@ class TestWarmEngineCli:
             (r["name"], r["outcome"], r["proved"]) for r in cold["results"]
         ]
         assert warm_verdicts == cold_verdicts
-
-    def test_shard_requires_a_cache(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "--suite", "table2", "--shard", "1/2", "--no-cache"
-        )
-        assert code == 2
-        assert "shared" in err
-
-    def test_bad_shard_spec(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "--suite", "table2", "--shard", "5/2"
-        )
-        assert code == 2
-        assert "shard" in err
-
-
-class TestShardCli:
-    def test_shards_reproduce_the_unsharded_suite(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "bench",
-            "--suite",
-            "table2",
-            "--cache-dir",
-            str(tmp_path / "reference"),
-            "--json",
-        )
-        assert code == 0
-        reference = json.loads(out)
-
-        shared = tmp_path / "shared"
-        views = []
-        for index in (1, 2):
-            code, out, _ = run_cli(
-                capsys,
-                "bench",
-                "--suite",
-                "table2",
-                "--shard",
-                f"{index}/2",
-                "--cache-dir",
-                str(shared),
-                "--json",
-            )
-            view = json.loads(out)
-            # Exit 3 = this shard succeeded but other shards' results are
-            # still pending in the shared store; 0 = merged suite complete.
-            assert code == (3 if view["totals"]["pending"] else 0)
-            views.append(view)
-
-        final = views[-1]
-        assert final["totals"]["pending"] == 0
-        assert [r["name"] for r in final["results"]] == [
-            r["name"] for r in reference["results"]
-        ]
-        for sharded, unsharded in zip(final["results"], reference["results"]):
-            assert sharded["outcome"] == unsharded["outcome"] == "ok"
-            assert sharded["proved"] == unsharded["proved"]
-            assert sharded["payload"] == unsharded["payload"]

@@ -2,7 +2,8 @@
 
 Covers the cache-key contract (stability, content addressing), cache
 hit/miss behaviour, per-task timeout / crash / error isolation, result
-ordering, determinism of parallel vs. serial runs, the suite-task
+ordering, determinism of parallel vs. serial runs, the outcome counters,
+every fast suite row replayed from the result cache, the suite-task
 protocol, and which modules a worker image holds before it forks.  Worker behaviours are exercised through ad-hoc task kinds
 registered by this module (workers inherit the registry).
 """
@@ -27,6 +28,7 @@ from repro.engine import (
     summarize_batch,
 )
 from repro.engine.cache import cache_key, make_cache
+from repro.engine.batch import OUTCOMES, BatchResult
 from repro.engine.tasks import execute_task, register_kind
 from repro.lang import parse_program
 
@@ -259,6 +261,81 @@ class TestBatchEngine:
         assert totals["crash"] == 1
         by_name = {result.name: result.outcome for result in results}
         assert by_name == {"a": "ok", "b": "error", "c": "crash"}
+
+
+class TestOutcomeCounts:
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_summarize_batch_counts_each_outcome(self, outcome):
+        result = BatchResult(name="t", kind="analyze", outcome=outcome, wall_time=0.5)
+        totals = summarize_batch([result, result])
+        assert set(totals) == {
+            "total", "ok", "proved", "timeout", "error", "crash",
+            "cache_hits", "wall_time",
+        }
+        assert totals["total"] == 2
+        assert totals[outcome] == 2
+        assert sum(totals[other] for other in OUTCOMES) == 2
+        assert totals["wall_time"] == 1.0
+
+    def test_pending_records_are_rejected(self):
+        """Sharded runs once reported tasks of other shards as ``pending``;
+        with sharding gone it is an unknown outcome like any other."""
+        assert "pending" not in OUTCOMES
+        record = BatchResult(
+            name="t", kind="analyze", outcome="ok", wall_time=0.0
+        ).to_dict()
+        record["outcome"] = "pending"
+        with pytest.raises(ValueError, match="unknown outcome"):
+            BatchResult.from_dict(record)
+
+
+FAST_ROWS = suite_tasks("all", full=False)
+
+
+@pytest.fixture(scope="module")
+def fast_suite_runs(tmp_path_factory):
+    """The fast suite rows run twice through one cached engine: cold, then
+    answered from the result cache."""
+    cache = ResultCache(tmp_path_factory.mktemp("fast-suite-cache"))
+    engine = BatchEngine(jobs=2, cache=cache)
+    cold = engine.run(FAST_ROWS)
+    warm = engine.run(FAST_ROWS)
+    return cache, cold, warm
+
+
+class TestFastSuiteThroughTheCache:
+    @pytest.mark.parametrize(
+        "index",
+        range(len(FAST_ROWS)),
+        ids=[f"{task.suite}/{task.name}" for task in FAST_ROWS],
+    )
+    def test_second_run_replays_the_cached_row(self, fast_suite_runs, index):
+        _, cold, warm = fast_suite_runs
+        assert cold[index].outcome == "ok" and not cold[index].cache_hit
+        assert warm[index].outcome == "ok" and warm[index].cache_hit
+        assert warm[index].payload == cold[index].payload
+        assert (warm[index].proved, warm[index].bound) == (
+            cold[index].proved,
+            cold[index].bound,
+        )
+
+    @pytest.mark.parametrize(
+        "index",
+        range(len(FAST_ROWS)),
+        ids=[f"{task.suite}/{task.name}" for task in FAST_ROWS],
+    )
+    def test_record_survives_the_batch_wire(self, fast_suite_runs, index):
+        """``repro batch`` rebuilds each ``POST /batch`` record with
+        ``BatchResult.from_dict``; it must render what the engine printed."""
+        _, cold, _ = fast_suite_runs
+        record = json.loads(json.dumps(cold[index].to_dict()))
+        assert BatchResult.from_dict(record).to_dict() == cold[index].to_dict()
+
+    def test_stats_count_the_entries_of_each_suite(self, fast_suite_runs):
+        cache, cold, _ = fast_suite_runs
+        stats = cache.stats()
+        assert stats["entries"] == len(cold)
+        assert stats["suites"] == {"fig3": 5, "table1": 8, "table2": 3}
 
 
 @register_kind("test-unpicklable")
