@@ -13,10 +13,6 @@
                 [--retry-429 N] [--json]
     repro serve [--host H] [--port P] [--workers N] [--timeout S]
                 [--backlog N]
-    repro loadtest --url URL [--rps N] [--duration S] [--concurrency N]
-                   [--deadline-ms MS] [--json]
-    repro profile [--suite NAME|all] [--micro] [--engines] [--check]
-                  [--threshold PCT]
     repro fuzz [--seed S] [--count N] [--runs R] [--size K] [--minimize]
                [--out DIR] [--no-baselines] [--jobs N] [--timeout S] [--json]
     repro suites
@@ -30,8 +26,10 @@ results are cached on disk, and a pathological program can at worst time out
 — never sink the batch; ``--tool`` swaps in one of the paper's comparison
 baselines, ``--engine warm`` serves the batch from long-lived warm workers
 instead of one process per task; under the default engine every task the
-cache misses runs cold in its own fork.  ``serve`` starts the warm analysis service, whose workers keep their warm
-state in memory for as long as they live: an asyncio HTTP endpoint
+cache misses runs cold in its own fork.  ``bench`` exits 1 when a row errors
+or crashes; a timed-out row is not a failure.  ``serve`` starts the warm
+analysis service, whose workers keep their warm state in memory for as long
+as they live: an asyncio HTTP endpoint
 (versioned under ``/v1``, with keep-alive, bounded admission, per-request
 deadlines and a ``/v1/metrics`` SLO document that also carries the pool
 counters) whose ``POST /v1/analyze`` accepts program source and returns the
@@ -45,17 +43,10 @@ error-severity diagnostic fires, 0 otherwise; ``analyze`` and ``bench``
 accept ``--lint`` to reject invalid programs (error diagnostics) before
 spending analysis time on them — on lint-clean programs a gated run is
 bit-identical to an ungated one.
-``loadtest`` drives open-loop load at a running service and records the
-throughput/latency curve into ``benchmarks/perf/BENCH_service.json``.
-``profile`` records cold suite
-timings, hull/projection micro-benchmark timings and (with ``--engines``)
-cold-vs-warm engine comparisons into the append-only
-``benchmarks/perf/BENCH_*.json`` history and, with ``--check``, fails on
-perf regressions or verdict changes versus the previous entry.  ``fuzz``
-runs the differential fuzzer: seeded random programs, every analyser claim
-cross-checked against concrete interpreter runs, findings written to
-``--out`` (minimized with ``--minimize``); exit status 1 when a campaign
-surfaces a violation.
+``fuzz`` runs the differential fuzzer: seeded random programs, every
+analyser claim cross-checked against concrete interpreter runs, findings
+written to ``--out`` (minimized with ``--minimize``); exit status 1 when a
+campaign surfaces a violation.
 
 The full command reference with examples lives in ``docs/cli.md``.
 """
@@ -283,140 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--json", action="store_true", help="emit the service's JSON document"
-    )
-
-    loadtest = commands.add_parser(
-        "loadtest",
-        help="drive open-loop load at a running repro serve and record the"
-        " throughput/latency into BENCH_service.json",
-    )
-    loadtest.add_argument(
-        "--url",
-        required=True,
-        metavar="URL",
-        help="base URL of a running analysis service, e.g."
-        " http://127.0.0.1:8734",
-    )
-    loadtest.add_argument(
-        "--rps",
-        type=float,
-        default=20.0,
-        metavar="N",
-        help="open-loop request rate in requests/second (default: 20)",
-    )
-    loadtest.add_argument(
-        "--duration",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="how long to keep the load up (default: 10)",
-    )
-    loadtest.add_argument(
-        "--concurrency",
-        type=int,
-        default=8,
-        metavar="N",
-        help="generator threads, one keep-alive connection each (default: 8)",
-    )
-    loadtest.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-request X-Repro-Deadline-Ms to send (default: none)",
-    )
-    loadtest.add_argument(
-        "--program",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="program file to POST per request (default: a built-in"
-        " one-liner that exercises dispatch, not the analyzer)",
-    )
-    loadtest.add_argument(
-        "--label", default="", help="free-form label recorded with the entry"
-    )
-    loadtest.add_argument(
-        "--perf-dir",
-        type=Path,
-        default=None,
-        help="where BENCH_service.json lives (default: benchmarks/perf)",
-    )
-    loadtest.add_argument(
-        "--no-record",
-        action="store_true",
-        help="report only; do not append a BENCH_service.json entry",
-    )
-    loadtest.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-
-    profile = commands.add_parser(
-        "profile",
-        help="record perf timings into BENCH_*.json and check for regressions",
-    )
-    profile.add_argument(
-        "--suite",
-        choices=sorted(suite_names()) + ["all"],
-        default=None,
-        help="time one suite cold (uncached) through the engine",
-    )
-    profile.add_argument(
-        "--micro",
-        action="store_true",
-        help="time the hull/projection micro-benchmarks",
-    )
-    profile.add_argument(
-        "--engines",
-        action="store_true",
-        help="compare cold per-task analysis against warm-worker serving"
-        " (records BENCH_engines.json; informational, not gated)",
-    )
-    profile.add_argument(
-        "--label", default="", help="free-form label recorded with the entry"
-    )
-    profile.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="micro-benchmark / --engines warm-repeat repetitions"
-        " (best-of; default: 3)",
-    )
-    profile.add_argument(
-        "--jobs", "-j", type=int, default=1, help="worker processes for suite runs"
-    )
-    profile.add_argument(
-        "--timeout",
-        type=_timeout_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="per-row deadline for suite runs; 0 is an immediate deadline,"
-        " omit the flag for no deadline (default: none)",
-    )
-    profile.add_argument(
-        "--check",
-        action="store_true",
-        help="fail when timings regress beyond the threshold (or verdicts change)"
-        " versus the last recorded entry",
-    )
-    profile.add_argument(
-        "--threshold",
-        type=float,
-        default=25.0,
-        metavar="PERCENT",
-        help="allowed slow-down before --check fails (default: 25%%)",
-    )
-    profile.add_argument(
-        "--perf-dir",
-        type=Path,
-        default=None,
-        help="where BENCH_*.json files live (default: benchmarks/perf)",
-    )
-    profile.add_argument(
-        "--full", action="store_true", help="include the slow suite rows"
-    )
-    profile.add_argument(
-        "--json", action="store_true", help="emit the recorded entries as JSON"
     )
 
     fuzz = commands.add_parser(
@@ -915,192 +772,6 @@ def _verdict(result: BatchResult) -> str:
     return "ok"
 
 
-def _command_profile(arguments: argparse.Namespace) -> int:
-    from .engine import profile as perf
-
-    if not arguments.micro and not arguments.suite and not arguments.engines:
-        print(
-            "repro profile: pass --suite NAME, --micro and/or --engines",
-            file=sys.stderr,
-        )
-        return 2
-    directory = arguments.perf_dir or perf.DEFAULT_PERF_DIR
-    threshold = arguments.threshold / 100.0
-    recorded: list[dict] = []
-    failures: list[str] = []
-
-    def record(name: str, entry: dict) -> None:
-        path = perf.bench_path(directory, name)
-        baseline = perf.latest_entry(perf.load_entries(path))
-        perf.append_entry(path, entry)
-        recorded.append(entry)
-        if not arguments.json:
-            print(f"== {name} -> {path}")
-            print(
-                format_table(
-                    ["row", "seconds", "baseline", "ratio"],
-                    [
-                        [
-                            row["name"],
-                            f"{row['seconds']:.4f}",
-                            _baseline_cell(baseline, row["name"]),
-                            _ratio_cell(baseline, row),
-                        ]
-                        for row in entry["rows"]
-                    ],
-                )
-            )
-        # Engine-comparison and service-loadtest entries are informational
-        # (sub-millisecond warm rows and HTTP latencies are machine noise)
-        # and never gate.
-        gated = entry.get("kind") not in ("engines", "service")
-        if arguments.check and baseline is not None and gated:
-            for regression in perf.compare_entries(baseline, entry, threshold):
-                failures.append(f"{name}: {regression}")
-            failures.extend(
-                f"{name}: {change}" for change in _verdict_changes(baseline, entry)
-            )
-
-    if arguments.micro:
-        record("micro", perf.micro_entry(arguments.label, arguments.repeats))
-    if arguments.engines:
-        record(
-            "engines",
-            perf.engine_comparison_entry(
-                arguments.suite or "table2",
-                label=arguments.label,
-                repeats=arguments.repeats,
-                full=arguments.full or full_bench_enabled(),
-            ),
-        )
-    if arguments.suite:
-        names = (
-            sorted(suite_names()) if arguments.suite == "all" else [arguments.suite]
-        )
-        for name in names:
-            tasks = suite_tasks(name, arguments.full or full_bench_enabled())
-            engine = BatchEngine(
-                jobs=arguments.jobs,
-                timeout=arguments.timeout,
-                cache=None,
-                options=ChoraOptions(),
-            )
-            results = engine.run(tasks)
-            record(
-                name,
-                perf.suite_entry_record(
-                    name,
-                    results,
-                    arguments.label,
-                    arguments.jobs,
-                    timeout=arguments.timeout,
-                ),
-            )
-    if arguments.json:
-        print(json.dumps({"entries": recorded}, indent=2, sort_keys=True))
-    if failures:
-        for failure in failures:
-            print(f"PERF REGRESSION {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _baseline_cell(baseline: Optional[dict], name: str) -> str:
-    if baseline is None:
-        return "-"
-    for row in baseline.get("rows", []):
-        if row["name"] == name:
-            return f"{row['seconds']:.4f}"
-    return "-"
-
-
-def _ratio_cell(baseline: Optional[dict], row: dict) -> str:
-    cell = _baseline_cell(baseline, row["name"])
-    if cell == "-" or float(cell) == 0.0:
-        return "-"
-    return f"{row['seconds'] / float(cell):.2f}x"
-
-
-def _verdict_changes(baseline: dict, entry: dict) -> list[str]:
-    """Analysis-verdict differences between two suite entries (must be none)."""
-    if entry.get("kind") != "suite":
-        return []
-    reference = {
-        row["name"]: (row.get("outcome"), row.get("proved"), row.get("bound"))
-        for row in baseline.get("rows", [])
-    }
-    changes = []
-    for row in entry.get("rows", []):
-        expected = reference.get(row["name"])
-        found = (row.get("outcome"), row.get("proved"), row.get("bound"))
-        if expected is not None and expected != found:
-            changes.append(f"{row['name']}: verdict changed {expected} -> {found}")
-    return changes
-
-
-def _command_loadtest(arguments: argparse.Namespace) -> int:
-    """Drive open-loop load at a service and record BENCH_service.json."""
-    from .engine import profile as perf
-    from .engine.loadtest import loadtest_entry, run_loadtest
-
-    document = None
-    if arguments.program is not None:
-        try:
-            document = {"source": arguments.program.read_text(encoding="utf-8")}
-        except OSError as error:
-            print(
-                f"repro loadtest: cannot read {arguments.program}: {error}",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        report = run_loadtest(
-            arguments.url,
-            rps=arguments.rps,
-            duration=arguments.duration,
-            concurrency=arguments.concurrency,
-            deadline_ms=arguments.deadline_ms,
-            document=document,
-        )
-    except ValueError as error:
-        print(f"repro loadtest: {error}", file=sys.stderr)
-        return 2
-    if not arguments.no_record:
-        directory = arguments.perf_dir or perf.DEFAULT_PERF_DIR
-        path = perf.bench_path(directory, "service")
-        perf.append_entry(path, loadtest_entry(report, arguments.label))
-        if not arguments.json:
-            print(f"recorded -> {path}")
-    if arguments.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        latency = report["latency"]
-
-        def cell(value):
-            return f"{value:.1f}ms" if isinstance(value, (int, float)) else "-"
-
-        print(
-            f"{report['served_2xx']}/{report['requested']} served in"
-            f" {report['elapsed_seconds']:.1f}s"
-            f" ({report['throughput_rps']:.1f} req/s),"
-            f" {report['rejected_429']} backpressured (429),"
-            f" {report['deadline_504']} past deadline (504),"
-            f" {report['unreachable']} unreachable"
-        )
-        print(
-            f"latency p50 {cell(latency['p50_ms'])}, p95 {cell(latency['p95_ms'])},"
-            f" p99 {cell(latency['p99_ms'])}; generator lag p95"
-            f" {cell(report['lag_p95_ms'])}"
-        )
-    if report["completed"] == 0:
-        print("repro loadtest: no request completed", file=sys.stderr)
-        return 2
-    if report["served_2xx"] == 0:
-        print("repro loadtest: no request was served (all non-2xx)", file=sys.stderr)
-        return 1
-    return 0
-
-
 #: Per-program deadline applied when ``repro fuzz`` is run without
 #: ``--timeout``: unlike the benchmark suites, generated programs have no
 #: curated size, so an unbounded campaign could sink on one pathological
@@ -1356,8 +1027,6 @@ _COMMANDS = {
     "lint": _command_lint,
     "batch": _command_batch,
     "serve": _command_serve,
-    "loadtest": _command_loadtest,
-    "profile": _command_profile,
     "fuzz": _command_fuzz,
     "suites": _command_suites,
     "cache": _command_cache,

@@ -13,8 +13,6 @@ The engine is the scale substrate the evaluation harnesses sit on:
   the ICRA and unrolling baselines, whole-program summaries);
 * :mod:`repro.engine.suites` — build task batches from the benchmark suites
   of :mod:`repro.benchlib`;
-* :mod:`repro.engine.profile` — the perf-history recorder and regression
-  gate (``repro profile``), including the cold-vs-warm engine comparison;
 * :mod:`repro.engine.config` — the environment switches shared by the CLI,
   the tests and the examples (``REPRO_FULL_BENCH``, cache location).
 

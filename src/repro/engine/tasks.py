@@ -174,9 +174,8 @@ def execute_task(task: AnalysisTask, options: ChoraOptions = ChoraOptions()) -> 
     """Run one task to completion and return its payload.
 
     This is the exact function batch workers execute; calling it directly
-    gives the serial, in-process behaviour (used by the tests and by
-    ``repro profile --engines``, where timing must not include process
-    bookkeeping).
+    gives the serial, in-process behaviour (used by the tests, and by
+    perfbench's traced rows, which time it without process bookkeeping).
     """
     from ..polyhedra.cache import clear_caches
 

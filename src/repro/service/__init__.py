@@ -22,9 +22,9 @@ traffic:
   document; it returns exactly the JSON records ``repro analyze --json``
   prints.
 * :class:`~repro.service.client.ServiceClient` — the one keep-alive HTTP
-  client for that API, shared by ``repro batch --url``, ``repro loadtest``
-  and the integration tests, raising typed errors decoded from the
-  service's uniform error envelope.
+  client for that API, shared by ``repro batch --url`` and the integration
+  tests, raising typed errors decoded from the service's uniform error
+  envelope.
 
 Results are indistinguishable from the cold engine's up to fresh-symbol
 numbering: every warm structure (memo tables, spliced summaries) is keyed

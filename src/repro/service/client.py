@@ -1,16 +1,15 @@
 """One HTTP client for the ``repro serve`` API, shared by every caller.
 
-``repro batch --url``, the ``repro loadtest`` harness and the integration
-tests all talk to the service through :class:`ServiceClient`, so request
-framing, the ``/v1`` route prefix, error-envelope decoding and
-keep-alive handling live in exactly one place (they used to be duplicated
-``urllib`` fragments).
+``repro batch --url`` and the integration tests both talk to the service
+through :class:`ServiceClient`, so request framing, the ``/v1`` route
+prefix, error-envelope decoding and keep-alive handling live in exactly
+one place.
 
 The client is stdlib-only (``http.client``) and holds **one persistent
 keep-alive connection** — ``urllib.request`` closes the socket after every
-call, which would make a loadtest measure TCP handshakes instead of the
-service.  One instance therefore serves one thread; concurrent callers
-(the loadtest's open-loop workers) each build their own.
+call, which would make a latency measurement time TCP handshakes instead
+of the service.  One instance therefore serves one thread; concurrent
+callers each build their own.
 
 Failures are typed rather than stringly:
 

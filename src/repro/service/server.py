@@ -30,8 +30,8 @@ an expired request never holds a slot.
 **Latency accounting.**  ``GET /v1/metrics`` reports, per route, p50/p95/
 p99/mean latency over a ring buffer of recent requests, plus queue depth,
 in-flight count, worker utilisation, total 2xx/4xx/5xx counts, and the
-429/504 counters.  ``repro loadtest`` drives open-loop load against these
-numbers and records them to ``benchmarks/perf/BENCH_service.json``.
+429/504 counters.  The percentiles are nearest-rank (:func:`percentile`),
+and the analyze route's p50 is the 429 ``Retry-After`` hint.
 
 Every non-2xx response carries one uniform envelope::
 
@@ -96,13 +96,13 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from ..engine.batch import BatchResult, summarize_batch
 from ..engine.cache import ResultCache
 from ..engine.config import DEFAULT_SERVICE_PORT as DEFAULT_PORT
-from ..engine.profile import percentile
 from ..engine.tasks import AnalysisTask, registered_kinds
 from .pool import WorkerPool
 
 __all__ = [
     "AnalysisServer",
     "ServiceMetrics",
+    "percentile",
     "serve",
     "run_batch",
     "task_from_request",
@@ -388,6 +388,24 @@ def run_batch(
 # ---------------------------------------------------------------------- #
 # SLO metrics
 # ---------------------------------------------------------------------- #
+def percentile(values: Sequence[float], q: float) -> Optional[float]:
+    """The nearest-rank ``q``-th percentile of ``values`` (None when empty).
+
+    Nearest-rank rather than interpolated: every reported latency is a
+    latency some request actually saw, which is what an SLO gauge wants.
+    Used by the ``/v1/metrics`` percentiles and the 429 ``Retry-After`` hint.
+    """
+    if not values:
+        return None
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile rank must be in [0, 100], got {q!r}")
+    ordered = sorted(values)
+    if q == 0:
+        return ordered[0]
+    rank = math.ceil(q / 100.0 * len(ordered))
+    return ordered[min(len(ordered), rank) - 1]
+
+
 @dataclass
 class _RouteMetrics:
     """Latency accounting of one route: counters + a sample ring buffer."""

@@ -16,8 +16,21 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.engine import AnalysisTask
+from repro.engine.tasks import register_kind
 
 TRIVIAL = "int main(int n) { assume(n >= 0); int r = n + 1; assert(r >= 1); return r; }"
+
+
+# Registered at import time, so the engine's forked workers inherit them.
+@register_kind("cli-crash")
+def _crash_runner(task, options):
+    os._exit(3)
+
+
+@register_kind("cli-error")
+def _error_runner(task, options):
+    raise ValueError("intentional test failure")
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +188,13 @@ class TestBenchTool:
         assert exit_info.value.code == 2
         assert "--shard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["profile", "loadtest"])
+    def test_deleted_timing_commands_are_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_bench_runs_the_unrolling_baseline(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -188,88 +208,56 @@ class TestBenchTool:
         assert data["totals"]["error"] == 0
 
 
-class TestProfileCommand:
-    def test_requires_a_target(self, capsys):
-        code, _, err = run_cli(capsys, "profile")
-        assert code == 2
-        assert "--suite" in err
+class TestBenchExitStatus:
+    """The nightly full-suite runs fail on a broken row through this status."""
 
-    def test_micro_records_entries_and_checks(self, capsys, tmp_path):
-        argv = [
-            "profile", "--micro", "--repeats", "1",
-            "--perf-dir", str(tmp_path), "--label", "first",
+    @pytest.mark.parametrize(
+        "kind, outcome", [("cli-crash", "crash"), ("cli-error", "error")]
+    )
+    def test_a_failed_row_exits_1(self, capsys, monkeypatch, kind, outcome):
+        tasks = [
+            AnalysisTask(name="fine", source=TRIVIAL, kind="analyze"),
+            AnalysisTask(name="broken", source="", kind=kind),
         ]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        bench_file = tmp_path / "BENCH_micro.json"
-        assert bench_file.exists()
-        data = json.loads(bench_file.read_text(encoding="utf-8"))
-        assert len(data["entries"]) == 1
-        assert {row["name"] for row in data["entries"][0]["rows"]} >= {
-            "projection_chain", "hull_ladder", "minimize_redundant",
-            "compose_chain",
-        }
-        # A second run with --check compares against the first entry; the
-        # same code cannot regress against itself beyond the huge threshold.
+        monkeypatch.setattr("repro.cli.suite_tasks", lambda *args, **kwargs: tasks)
         code, out, _ = run_cli(
-            capsys,
-            "profile", "--micro", "--repeats", "1", "--perf-dir", str(tmp_path),
-            "--check", "--threshold", "10000",
-        )
-        assert code == 0
-        data = json.loads(bench_file.read_text(encoding="utf-8"))
-        assert len(data["entries"]) == 2
-        assert "baseline" in out and "ratio" in out
-
-    def test_first_entry_creates_the_perf_directory(self, tmp_path):
-        """The perf history is per checkout and not committed, so the first
-        recorded entry must create its directory."""
-        from repro.engine import profile as perf
-
-        path = perf.bench_path(tmp_path / "benchmarks" / "perf", "micro")
-        entry = {"kind": "micro", "label": "first", "rows": []}
-        perf.append_entry(path, entry)
-        assert perf.load_entries(path) == [entry]
-
-    def test_regression_gate_fails_on_slowdown(self, tmp_path, capsys):
-        from repro.engine import profile as perf
-
-        path = perf.bench_path(tmp_path, "micro")
-        perf.append_entry(
-            path,
-            {
-                "kind": "micro", "suite": "micro", "label": "fabricated",
-                "created": "2026-01-01T00:00:00Z", "repeats": 1,
-                "rows": [{"name": "projection_chain", "seconds": 0.000001}],
-                "totals": {"seconds": 0.000001},
-            },
-        )
-        code, _, err = run_cli(
-            capsys,
-            "profile", "--micro", "--repeats", "1",
-            "--perf-dir", str(tmp_path), "--check",
-        )
-        # Anything real is slower than a fabricated micro-second baseline...
-        # except that sub-20ms baseline rows are ignored as noise, so this
-        # must still pass.
-        assert code == 0
-
-        perf.append_entry(
-            path,
-            {
-                "kind": "micro", "suite": "micro", "label": "fabricated-slow",
-                "created": "2026-01-01T00:00:00Z", "repeats": 1,
-                "rows": [{"name": "projection_chain", "seconds": 0.05}],
-                "totals": {"seconds": 0.05},
-            },
-        )
-        code, _, err = run_cli(
-            capsys,
-            "profile", "--micro", "--repeats", "1",
-            "--perf-dir", str(tmp_path), "--check", "--threshold", "-99.9",
+            capsys, "bench", "--suite", "table2", "--no-cache", "--json"
         )
         assert code == 1
-        assert "PERF REGRESSION" in err
+        results = json.loads(out)["results"]
+        assert [(r["name"], r["outcome"]) for r in results] == [
+            ("fine", "ok"),
+            ("broken", outcome),
+        ]
+
+    def test_timed_out_rows_exit_0(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "bench", "--suite", "table2", "--timeout", "0", "--no-cache", "--json",
+        )
+        assert code == 0
+        totals = json.loads(out)["totals"]
+        assert totals["timeout"] == totals["total"] == 3
+
+    def test_uncached_json_times_every_row(self, capsys, tmp_path):
+        """``--no-cache --json`` is how one suite's per-row wall times are read."""
+        code, out, _ = run_cli(
+            capsys,
+            "bench", "--suite", "table2", "--no-cache", "--json",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 0
+        document = json.loads(out)
+        results = document["results"]
+        assert len(results) == 3
+        for row in results:
+            assert row["outcome"] == "ok"
+            assert row["cache_hit"] is False
+            assert row["wall_time"] > 0
+        assert document["totals"]["wall_time"] == pytest.approx(
+            sum(row["wall_time"] for row in results), abs=0.01
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow

@@ -4,9 +4,9 @@ Covers the tentpole acceptance properties: warm workers answer repeated
 requests from spliced summaries (measurably below a cold run), results
 agree with the cold engine, failures replace workers without sinking the
 service, ``POST /v1/batch`` serves whole suites bit-identically to
-``repro bench``, warm state never reaches the disk, and
-``repro bench --engine warm`` / ``repro batch`` / ``repro loadtest``
-round-trip through the CLI, and ``repro serve`` leaves no worker behind.  The asyncio
+``repro bench``, warm state never reaches the disk,
+``repro bench --engine warm`` / ``repro batch`` round-trip through the
+CLI, and ``repro serve`` leaves no worker behind.  The asyncio
 front-end's SLO machinery has its own classes below: the ``/v1`` route
 aliasing and error envelope (``TestV1Api``), bounded admission
 (``TestBackpressure``), per-request deadlines (``TestDeadlines``) and the
@@ -944,76 +944,6 @@ class TestMetrics:
             assert metrics["responses"]["4xx"] >= 1
         finally:
             _stop_server(server, thread)
-
-
-class TestLoadtestCli:
-    @pytest.fixture()
-    def server(self):
-        server, thread = _start_server(WorkerPool(workers=2))
-        yield server
-        _stop_server(server, thread)
-
-    def _url(self, server):
-        host, port = server.address
-        return f"http://{host}:{port}"
-
-    def test_loadtest_records_a_bench_entry(self, server, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "loadtest",
-            "--url", self._url(server),
-            "--rps", "15",
-            "--duration", "1.5",
-            "--concurrency", "3",
-            "--perf-dir", str(tmp_path),
-            "--label", "test",
-        )
-        assert code == 0
-        assert "served" in out and "latency p50" in out
-        from repro.engine.profile import load_entries
-
-        entries = load_entries(tmp_path / "BENCH_service.json")
-        assert len(entries) == 1
-        entry = entries[0]
-        assert entry["kind"] == "service"
-        assert entry["label"] == "test"
-        assert entry["totals"]["served_2xx"] > 0
-        assert entry["totals"]["throughput_rps"] > 0
-        report = entry["report"]
-        assert report["latency"]["p50_ms"] is not None
-        assert report["latency"]["p95_ms"] is not None
-        assert report["latency"]["p99_ms"] is not None
-        names = {row["name"] for row in entry["rows"]}
-        assert names == {"analyze/p50", "analyze/p95", "analyze/p99"}
-
-    def test_no_record_leaves_the_perf_dir_alone(self, server, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "loadtest",
-            "--url", self._url(server),
-            "--rps", "10",
-            "--duration", "1",
-            "--perf-dir", str(tmp_path),
-            "--no-record",
-            "--json",
-        )
-        assert code == 0
-        assert not (tmp_path / "BENCH_service.json").exists()
-        report = json.loads(out)
-        assert report["served_2xx"] == report["requested"]
-
-    def test_unreachable_service_is_exit_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys,
-            "loadtest",
-            "--url", "http://127.0.0.1:1",
-            "--rps", "5",
-            "--duration", "0.5",
-            "--perf-dir", str(tmp_path),
-            "--no-record",
-        )
-        assert code == 2
-        assert "no request completed" in err
 
 
 class TestServeBindFailure:
