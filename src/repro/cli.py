@@ -29,7 +29,7 @@ instead of one process per task; under the default engine every task the
 cache misses runs cold in its own fork.  ``bench`` exits 1 when a row errors
 or crashes; a timed-out row is not a failure.  ``serve`` starts the warm
 analysis service, whose workers keep their warm state in memory for as long
-as they live: an asyncio HTTP endpoint
+as they live: a threaded HTTP endpoint
 (versioned under ``/v1``, with keep-alive, bounded admission, per-request
 deadlines and a ``/v1/metrics`` SLO document that also carries the pool
 counters) whose ``POST /v1/analyze`` accepts program source and returns the

@@ -14,8 +14,9 @@ traffic:
   changed.  Per-request timeout, crash and error isolation is the batch
   engine's own isolation core (:mod:`repro.engine.batch`), run in a
   long-lived worker: a hung or dying worker is replaced, never the service.
-* :class:`~repro.service.server.AnalysisServer` — an asyncio HTTP
-  front-end (``repro serve``) speaking the versioned ``/v1`` API with
+* :class:`~repro.service.server.AnalysisServer` — the stdlib's threaded
+  HTTP server (``repro serve``, one thread per connection) speaking the
+  versioned ``/v1`` API with
   keep-alive and pipelined connections, bounded admission (429 + a
   ``Retry-After`` hint under overload), per-request deadlines
   (``X-Repro-Deadline-Ms`` → 504 on expiry) and a ``/v1/metrics`` SLO

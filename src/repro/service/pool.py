@@ -283,11 +283,13 @@ class WorkerPool:
         Thread-safe; blocks while every worker is busy.  The record has
         exactly the shape the batch engine produces, so callers (the HTTP
         server, ``repro bench --engine warm``) are engine-agnostic.
-        ``timeout`` is a per-request deadline in seconds: it can only
-        *tighten* the pool-wide deadline (the effective deadline is the
-        smaller of the two), so a client-supplied deadline never extends
-        the budget the operator configured.  ``0`` is an immediate
-        deadline, ``None`` falls back to the pool default.
+        ``timeout`` is a per-request deadline in seconds that covers the
+        wait for an idle worker too: when it runs out first, the record is
+        a ``timeout`` and no worker is engaged.  The worker then runs under
+        what is left of it, and it can only *tighten* the pool-wide
+        deadline, which bounds every run, so a client-supplied deadline
+        never extends the budget the operator configured.  ``0`` is an
+        immediate deadline, ``None`` falls back to the pool default.
         """
         return self.submit_with_meta(task, timeout=timeout)[0]
 
@@ -304,15 +306,33 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("the worker pool is closed")
+        queued = time.monotonic()
         effective = self.timeout
         if timeout is not None:
             effective = timeout if effective is None else min(effective, timeout)
         with self._stats_lock:
             self.stats.requests += 1
         key, settled = settle_without_worker(task, self.options, self.cache, effective)
+        if settled is None:
+            # The wait for an idle worker counts against the caller's
+            # ``timeout`` (not the pool's own, which bounds the run).
+            try:
+                worker = self._idle.get(timeout=timeout)
+            except queue.Empty:
+                worker = None
+            if timeout is not None:
+                left = timeout - (time.monotonic() - queued)
+                if worker is not None and left <= 0:
+                    self._idle.put(worker)
+                    worker = None
+                effective = left if self.timeout is None else min(self.timeout, left)
+            if worker is None:
+                detail = f"exceeded the {timeout:g}s deadline waiting for a worker"
+                waited = time.monotonic() - queued
+                settled = BatchResult.failed(task, "timeout", waited, detail)
         if settled is not None:
-            # A cache hit, or an immediate deadline reported without
-            # engaging (and then having to kill and replace) a healthy worker.
+            # A cache hit, or a deadline reported without engaging (and
+            # then having to kill and replace) a healthy worker.
             with self._stats_lock:
                 if settled.cache_hit:
                     self.stats.cache_hits += 1
@@ -320,7 +340,6 @@ class WorkerPool:
                     self.stats.timeouts += 1
             return settled, {}
 
-        worker = self._idle.get()
         started = time.monotonic()
         try:
             status, body, meta = worker.request(task, effective)

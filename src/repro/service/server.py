@@ -1,13 +1,14 @@
-"""The ``repro serve`` HTTP front-end: a single-event-loop asyncio server.
+"""The ``repro serve`` HTTP front-end: the stdlib's threaded HTTP server.
 
 The service speaks a versioned HTTP API.  Every route is mounted under
 ``/v1/`` (``/v1/analyze``, ``/v1/batch``, ``/v1/lint``, ``/v1/healthz``,
 ``/v1/metrics``); any other path answers the ``not_found`` envelope below.
-One ``asyncio`` event loop accepts **keep-alive and pipelined**
-connections and parses HTTP/1.1 itself (stdlib only); analysis work is
-dispatched to the forked :class:`~repro.service.pool.WorkerPool` through a
-thread-pool executor, so a slow analysis never blocks the acceptor, health
-checks, or metrics scrapes.
+:class:`http.server.ThreadingHTTPServer` gives every connection its own
+daemon thread, which reads **keep-alive and pipelined** requests in order
+off the stdlib's buffered reader and makes the blocking call to the forked
+:class:`~repro.service.pool.WorkerPool` itself, so a slow analysis holds
+only its own connection, never the acceptor, health checks, or metrics
+scrapes.
 
 Three service-level-objective mechanisms wrap every analysis request:
 
@@ -20,12 +21,13 @@ grow until clients give up.
 
 **Per-request deadlines.**  An ``X-Repro-Deadline-Ms`` header (or a
 ``"deadline_ms"`` body field) bounds the request end to end — queue wait
-included.  The remaining budget is propagated into
-:meth:`WorkerPool.submit <repro.service.pool.WorkerPool.submit>` as the
-per-request timeout (it can only tighten the operator's ``--timeout``);
-when the client's deadline expires the response is ``504`` with the
-timeout record in the error detail, and the overrun worker is replaced, so
-an expired request never holds a slot.
+included: :meth:`WorkerPool.submit <repro.service.pool.WorkerPool.submit>`
+bounds its wait for an idle worker by it, then runs the worker under what
+is left (which can only tighten the operator's ``--timeout``).  When the
+client's deadline expires the response is ``504`` with the timeout record
+in the error detail; a request that expires while queued never engages a
+worker, and an overrun worker is replaced, so an expired request never
+holds a slot.
 
 **Latency accounting.**  ``GET /v1/metrics`` reports, per route, p50/p95/
 p99/mean latency over a ring buffer of recent requests, plus queue depth,
@@ -40,11 +42,10 @@ Every non-2xx response carries one uniform envelope::
 
 with the request id echoed in an ``X-Request-Id`` header (2xx responses
 carry the header only — analysis records stay bit-identical to ``repro
-bench --json``).  Codes: ``bad_request``, ``not_found``,
-``method_not_allowed``, ``payload_too_large``, ``queue_full``,
-``deadline_exceeded``, ``internal``.
-
-The routes themselves are unchanged in substance:
+bench --json``).  Codes: ``bad_request`` and ``invalid_program`` (400),
+``not_found``, ``method_not_allowed``, ``payload_too_large``,
+``queue_full``, ``internal``, ``deadline_exceeded``.  A request whose
+framing cannot be parsed gets its envelope, then a closed connection.
 
 ``POST /v1/analyze``
     Body: a JSON object ``{"source": "...", "procedure": null,
@@ -80,18 +81,21 @@ The routes themselves are unchanged in substance:
 
 from __future__ import annotations
 
-import asyncio
 import collections
+import contextlib
+import http.server
 import itertools
 import json
 import math
 import socket
+import socketserver
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from email.message import Message
+from http import HTTPStatus
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from ..engine.batch import BatchResult, summarize_batch
 from ..engine.cache import ResultCache
@@ -123,23 +127,15 @@ DEFAULT_BACKLOG = 16
 #: Largest accepted request body (a whole inline task list fits easily).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Longest accepted request line (the stdlib's limit on a header line).
+MAX_LINE_BYTES = 64 * 1024
+
 #: Ring-buffer window of per-route latency samples behind the percentiles.
 LATENCY_WINDOW = 512
 
-_STATUS_PHRASES = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    504: "Gateway Timeout",
-}
-
 
 # ---------------------------------------------------------------------- #
-# Request-body parsing (shared by the async routes and their tests)
+# Request-body parsing (shared by the routes and their tests)
 # ---------------------------------------------------------------------- #
 def _integer_value(label: str, value: Any) -> int:
     """Coerce one request field to an exact integer.
@@ -441,8 +437,8 @@ class _RouteMetrics:
 class ServiceMetrics:
     """The numbers behind ``GET /v1/metrics``.
 
-    Mutated only from the event-loop thread (route handlers run there;
-    executor results are observed there), so no locking is needed.
+    Not locked itself: :class:`AnalysisServer` calls it under the one lock
+    that also guards its admission counter.
     """
 
     def __init__(self) -> None:
@@ -496,122 +492,167 @@ class ServiceMetrics:
 
 
 # ---------------------------------------------------------------------- #
-# HTTP plumbing
+# HTTP front-end
 # ---------------------------------------------------------------------- #
+@dataclass(eq=False)
 class _HttpError(Exception):
-    """A routed request that must answer a non-2xx envelope."""
+    """A request that must answer a non-2xx envelope."""
 
-    def __init__(
-        self,
-        status: int,
-        code: str,
-        message: str,
-        detail: Optional[dict[str, Any]] = None,
-        headers: Sequence[tuple[str, str]] = (),
-    ) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
-        self.detail = detail or {}
-        self.headers = list(headers)
+    status: int
+    code: str
+    message: str
+    detail: dict[str, Any] = field(default_factory=dict)
+    headers: Sequence[tuple[str, str]] = ()
 
 
-@dataclass
-class _Request:
-    """One parsed HTTP request."""
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """One connection's thread: it reads each request off the stdlib's
+    buffered reader in turn (keep-alive, pipelining) and answers it."""
 
-    method: str
-    target: str
-    version: str
-    headers: dict[str, str]
-    body: bytes
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    server: "AnalysisServer"
 
-    def header(self, name: str, default: str = "") -> str:
-        return self.headers.get(name.lower(), default)
+    def handle(self) -> None:
+        # The peer may go away, or close() shut the connection, at any point.
+        with contextlib.suppress(ConnectionError):
+            super().handle()
 
-    @property
-    def keep_alive(self) -> bool:
-        connection = self.header("connection").lower()
-        if self.version == "HTTP/1.0":
-            return connection == "keep-alive"
-        return connection != "close"
+    def send_error(self, code: int, message: Optional[str] = None, explain=None):
+        # The stdlib parser (parse_request) reports a request line or header
+        # block it rejects here; it is answered like every framing error.
+        raise _HttpError(400, "bad_request", message or HTTPStatus(code).phrase)
 
-
-async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
-    """Parse one HTTP/1.1 request off the stream (None on clean EOF).
-
-    Raises :class:`_HttpError` on malformed input and ``ConnectionError``/
-    ``asyncio.IncompleteReadError`` when the peer goes away mid-request.
-    """
-    try:
-        line = await reader.readline()
-    except (ValueError, asyncio.LimitOverrunError):
-        raise _HttpError(400, "bad_request", "request line too long") from None
-    if not line:
-        return None
-    try:
-        text = line.decode("latin-1").strip()
-    except UnicodeDecodeError:  # pragma: no cover - latin-1 decodes anything
-        raise _HttpError(400, "bad_request", "undecodable request line") from None
-    if not text:
-        return None
-    parts = text.split()
-    if len(parts) == 2:
-        method, target, version = parts[0], parts[1], "HTTP/1.0"
-    elif len(parts) == 3:
-        method, target, version = parts
-    else:
-        raise _HttpError(400, "bad_request", f"malformed request line {text!r}")
-    headers: dict[str, str] = {}
-    for _ in range(128):
+    def handle_one_request(self) -> None:
+        self.requestline = ""
+        self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
         try:
-            raw = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError):
-            raise _HttpError(400, "bad_request", "header line too long") from None
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, separator, value = raw.decode("latin-1").partition(":")
-        if not separator:
-            raise _HttpError(400, "bad_request", "malformed header line")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise _HttpError(400, "bad_request", "too many header lines")
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise _HttpError(
-            400, "bad_request", f"malformed Content-Length {length_text!r}"
-        ) from None
-    if length < 0:
-        raise _HttpError(400, "bad_request", "negative Content-Length")
-    if length > MAX_BODY_BYTES:
-        raise _HttpError(
-            413,
-            "payload_too_large",
-            f"request body of {length} bytes exceeds the"
-            f" {MAX_BODY_BYTES}-byte limit",
-        )
-    body = await reader.readexactly(length) if length else b""
-    return _Request(
-        method=method.upper(),
-        target=target,
-        version=version,
-        headers=headers,
-        body=body,
-    )
+            if len(self.raw_requestline) > MAX_LINE_BYTES:
+                raise _HttpError(400, "bad_request", "request line too long")
+            if not self.parse_request():
+                return  # end of stream, or a blank line: close
+            if self.headers.defects:
+                raise _HttpError(400, "bad_request", "malformed header line")
+            body = self._read_body()
+        except _HttpError as error:
+            # The stream cannot be parsed past this point: answer and close.
+            self.close_connection = True
+            self._answer("other", time.monotonic(), error=error)
+            return
+        started = time.monotonic()
+        path = self.path.split("?", 1)[0]
+        prefix = f"/{API_VERSION}/"
+        # Every route lives under /v1; an unversioned path names no route.
+        name = path[len(prefix) :] if path.startswith(prefix) else ""
+        route = name if name in self.server.ROUTES else "other"
+        try:
+            if route == "other":
+                raise _HttpError(404, "not_found", f"no such path {path!r}")
+            expected, method = self.server.ROUTES[route], self.command.upper()
+            if method != expected:
+                raise _HttpError(
+                    405,
+                    "method_not_allowed",
+                    f"{path} accepts {expected}, not {method}",
+                    headers=[("Allow", expected)],
+                )
+            document = getattr(self.server, f"_route_{route}")(self.headers, body)
+        except _HttpError as error:
+            self._answer(route, started, error=error)
+        except Exception as error:
+            # The pool can fail out from under a request (a closed pool
+            # during shutdown raises RuntimeError): answer 500 with the
+            # envelope instead of dropping the connection.
+            if self.server.verbose:
+                traceback.print_exc()
+            message = str(error) or error.__class__.__name__
+            self._answer(route, started, error=_HttpError(500, "internal", message))
+        else:
+            self._answer(route, started, document)
+
+    def _read_body(self) -> bytes:
+        """The request body, framed by its ``Content-Length``."""
+        coding = self.headers.get("transfer-encoding")
+        if coding is not None:
+            message = f"unsupported Transfer-Encoding {coding!r}; send a Content-Length"
+            raise _HttpError(400, "bad_request", message)
+        length_text = self.headers.get("content-length", "0")
+        try:
+            length = int(length_text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HttpError(
+                400, "bad_request", f"malformed Content-Length {length_text!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            raise _HttpError(
+                413,
+                "payload_too_large",
+                f"request body of {length} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit",
+            )
+        body = self.rfile.read(length)
+        if len(body) != length:
+            raise ConnectionResetError("the peer closed mid-body")
+        return body
+
+    def _answer(
+        self,
+        route: str,
+        started: float,
+        document: Any = None,
+        error: Optional[_HttpError] = None,
+    ) -> None:
+        """Write one answer: every response the service sends is built here."""
+        server = self.server
+        status, headers = (200, ()) if error is None else (error.status, error.headers)
+        elapsed = time.monotonic() - started
+        # Counted before the write, so a client that has read this answer
+        # finds it in the next /v1/metrics document.
+        with server._lock:
+            request_id = f"r{next(server._request_ids):06d}"
+            server.metrics.record(route, status, elapsed)
+        if error is not None:
+            document = {
+                "error": {
+                    "code": error.code,
+                    "message": error.message,
+                    "detail": error.detail,
+                },
+                "request_id": request_id,
+            }
+        body = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
+        lines = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            f"Server: {server.VERSION_STRING}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+            f"Connection: {'close' if self.close_connection else 'keep-alive'}",
+            f"X-Request-Id: {request_id}",
+            *(f"{name}: {value}" for name, value in headers),
+        ]
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.wfile.write(head + body)
+        if server.verbose:
+            print(
+                f"repro serve: {self.requestline} -> {status} [{request_id}]"
+                f" {elapsed * 1000:.1f}ms",
+                flush=True,
+            )
 
 
-class AnalysisServer:
-    """An asyncio HTTP front-end over a :class:`WorkerPool`.
+class AnalysisServer(http.server.ThreadingHTTPServer):
+    """The ``/v1`` HTTP front-end over a :class:`WorkerPool`.
 
-    The socket is bound in the constructor (so ``port=0`` resolves before
-    serving starts and a bind failure never leaks the caller's forked
-    pool); :meth:`serve_forever` then runs the event loop until
-    :meth:`shutdown` — which is thread-safe and blocks until the loop has
-    wound down, mirroring ``http.server``'s contract so existing callers
-    (the CLI, tests driving the server from a thread) are unchanged.
+    Each connection gets its own daemon thread, which makes the blocking
+    pool, batch or lint call itself.  The socket is bound in the
+    constructor (so ``port=0`` resolves before serving starts and a bind
+    failure never leaks the caller's forked pool); :meth:`serve_forever`
+    accepts connections until :meth:`shutdown`, which another thread calls
+    and which waits for the accept loop to stop (as in ``socketserver``, it
+    blocks until ``serve_forever`` has run), and :meth:`close` ends every
+    open connection, stops the pool and joins the connection threads.
     """
 
     #: Advertised in the ``Server`` response header.
@@ -625,6 +666,8 @@ class AnalysisServer:
         "metrics": "GET",
     }
 
+    daemon_threads = True
+
     def __init__(
         self,
         pool: WorkerPool,
@@ -634,11 +677,6 @@ class AnalysisServer:
         backlog: int = DEFAULT_BACKLOG,
         sock: Optional[socket.socket] = None,
     ):
-        self.pool = pool
-        self.verbose = verbose
-        self.backlog = max(0, int(backlog))
-        self.capacity = pool.workers + self.backlog
-        self.metrics = ServiceMetrics()
         if sock is None:
             # Binding can fail (port already in use); the pool handed in
             # must not leak its forked workers when it does.
@@ -647,281 +685,87 @@ class AnalysisServer:
             except BaseException:
                 pool.close()
                 raise
-        self._socket = sock
-        self._socket.setblocking(False)
-        # Every admitted analysis request owns one executor thread for the
-        # duration of its (blocking) pool call, so the executor is sized to
-        # the admission capacity: admission control is the real limiter.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.capacity), thread_name_prefix="repro-serve"
-        )
+        # The socket is already bound and listening: skip TCPServer's own.
+        socketserver.BaseServer.__init__(self, sock.getsockname()[:2], _Handler)
+        self.socket = sock
+        self.pool = pool
+        self.verbose = verbose
+        self.backlog = max(0, int(backlog))
+        self.capacity = pool.workers + self.backlog
+        self.metrics = ServiceMetrics()
         self._request_ids = itertools.count(1)
+        # One lock for the admission counter, the metrics, the request ids
+        # and the open connections, which every connection thread touches.
+        self._lock = threading.Lock()
         self._admitted = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._wake: Optional[asyncio.Event] = None
-        self._stop = threading.Event()
-        self._stopped = threading.Event()
-        self._started = False
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[socket.socket] = set()
 
-    # ------------------------------------------------------------------ #
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` — port resolved even when 0 was asked."""
-        host, port = self._socket.getsockname()[:2]
+        host, port = self.socket.getsockname()[:2]
         return str(host), int(port)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def serve_forever(self) -> None:
-        """Block serving requests until :meth:`shutdown` (or interrupt)."""
-        self._started = True
-        self._stopped.clear()
-        loop = asyncio.new_event_loop()
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            try:
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            except Exception:  # pragma: no cover - cleanup best effort
-                pass
-            loop.close()
-            self._loop = None
-            self._stopped.set()
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """Accept connections until :meth:`shutdown` (or an interrupt); the
+        stdlib's 0.5 s poll for ``shutdown`` would add that much to a stop."""
+        super().serve_forever(poll_interval)
 
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
-        if self._stop.is_set():
-            # shutdown() raced serve_forever() before the loop existed.
-            return
-        server = await asyncio.start_server(self._on_connection, sock=self._socket)
-        try:
-            await self._wake.wait()
-        finally:
-            server.close()
-            for task in list(self._connections):
-                task.cancel()
-            try:
-                await server.wait_closed()
-            except Exception:  # pragma: no cover - close best effort
-                pass
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
 
-    def shutdown(self) -> None:
-        """Stop :meth:`serve_forever` (thread-safe; waits for the loop)."""
-        self._stop.set()
-        loop, wake = self._loop, self._wake
-        if loop is not None and wake is not None:
-            try:
-                loop.call_soon_threadsafe(wake.set)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
-        if self._started:
-            self._stopped.wait(timeout=30)
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def close(self) -> None:
-        self._executor.shutdown(wait=False)
-        try:
-            self._socket.close()
-        except OSError:  # pragma: no cover - already closed by the loop
-            pass
+        """End every open connection, stop the pool, join the connections."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            with contextlib.suppress(OSError):  # already closed by its peer
+                connection.shutdown(socket.SHUT_RDWR)
         self.pool.close()
-
-    # ------------------------------------------------------------------ #
-    # Connection handling: keep-alive + pipelining
-    # ------------------------------------------------------------------ #
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> "asyncio.Task":
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-        return task
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Requests on one connection are handled strictly in order, so
-        # pipelined clients get their responses in request order for free;
-        # concurrency comes from having many connections on one loop.
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except _HttpError as error:
-                    # The stream is unparseable from here on: answer the
-                    # envelope and close.
-                    self._write_response(
-                        writer,
-                        error.status,
-                        self._envelope(error, self._next_request_id()),
-                        error.headers,
-                        keep_alive=False,
-                        request_id=None,
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                keep_alive = request.keep_alive
-                started = time.monotonic()
-                request_id = self._next_request_id()
-                status, document, headers, route = await self._dispatch(
-                    request, request_id
-                )
-                self._write_response(
-                    writer,
-                    status,
-                    document,
-                    headers,
-                    keep_alive=keep_alive,
-                    request_id=request_id,
-                )
-                await writer.drain()
-                self.metrics.record(route, status, time.monotonic() - started)
-                if self.verbose:
-                    elapsed = time.monotonic() - started
-                    print(
-                        f"repro serve: {request.method} {request.target}"
-                        f" -> {status} [{request_id}] {elapsed * 1000:.1f}ms",
-                        flush=True,
-                    )
-                if not keep_alive:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-            TimeoutError,
-        ):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    def _next_request_id(self) -> str:
-        return f"r{next(self._request_ids):06d}"
-
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
-    async def _dispatch(
-        self, request: _Request, request_id: str
-    ) -> tuple[int, dict[str, Any], list[tuple[str, str]], str]:
-        """Route one request; returns (status, document, headers, route)."""
-        path = request.target.split("?", 1)[0]
-        prefix = f"/{API_VERSION}/"
-        # Every route lives under /v1; an unversioned path names no route.
-        name = path[len(prefix) :] if path.startswith(prefix) else ""
-        route_label = name if name in self.ROUTES else "other"
-        try:
-            if name not in self.ROUTES:
-                raise _HttpError(
-                    404, "not_found", f"no such path {path!r}"
-                )
-            expected = self.ROUTES[name]
-            if request.method != expected:
-                raise _HttpError(
-                    405,
-                    "method_not_allowed",
-                    f"{path} accepts {expected}, not {request.method}",
-                    headers=[("Allow", expected)],
-                )
-            handler = getattr(self, f"_route_{name}")
-            status, document, extra = await handler(request)
-            return status, document, list(extra), name
-        except _HttpError as error:
-            return (
-                error.status,
-                self._envelope(error, request_id),
-                error.headers,
-                route_label,
-            )
-        except Exception as error:
-            # The pool can fail out from under a request (a closed pool
-            # during shutdown raises RuntimeError): answer 500 with the
-            # envelope instead of dropping the connection with a stderr
-            # traceback.
-            if self.verbose:
-                traceback.print_exc()
-            wrapped = _HttpError(
-                500, "internal", str(error) or error.__class__.__name__
-            )
-            return (
-                500,
-                self._envelope(wrapped, request_id),
-                [],
-                route_label,
-            )
-
-    @staticmethod
-    def _envelope(error: _HttpError, request_id: str) -> dict[str, Any]:
-        return {
-            "error": {
-                "code": error.code,
-                "message": error.message,
-                "detail": error.detail,
-            },
-            "request_id": request_id,
-        }
-
-    def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        document: Mapping[str, Any],
-        headers: Sequence[tuple[str, str]],
-        keep_alive: bool,
-        request_id: Optional[str],
-    ) -> None:
-        body = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
-        phrase = _STATUS_PHRASES.get(status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {status} {phrase}",
-            f"Server: {self.VERSION_STRING}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        if request_id is not None:
-            lines.append(f"X-Request-Id: {request_id}")
-        lines.extend(f"{name}: {value}" for name, value in headers)
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + body)
+        self.server_close()
 
     # ------------------------------------------------------------------ #
     # Admission control + deadlines
     # ------------------------------------------------------------------ #
-    def _admit(self) -> None:
-        """Take one admission slot or answer 429 (event-loop thread only)."""
-        if self._admitted >= self.capacity:
-            p50 = self.metrics.analyze_p50()
-            retry_after = max(1, int(math.ceil(p50))) if p50 else 1
-            raise _HttpError(
-                429,
-                "queue_full",
-                f"the admission queue is full ({self._admitted} requests"
-                f" in flight, capacity {self.capacity}); retry later",
-                detail={
-                    "capacity": self.capacity,
-                    "in_flight": self._admitted,
-                    "workers": self.pool.workers,
-                },
-                headers=[("Retry-After", str(retry_after))],
-            )
-        self._admitted += 1
+    @contextlib.contextmanager
+    def _admission(self) -> Iterator[None]:
+        """Hold one admission slot for the block, or answer 429."""
+        with self._lock:
+            if self._admitted >= self.capacity:
+                p50 = self.metrics.analyze_p50()
+                retry_after = max(1, int(math.ceil(p50))) if p50 else 1
+                raise _HttpError(
+                    429,
+                    "queue_full",
+                    f"the admission queue is full ({self._admitted} requests"
+                    f" in flight, capacity {self.capacity}); retry later",
+                    detail={
+                        "capacity": self.capacity,
+                        "in_flight": self._admitted,
+                        "workers": self.pool.workers,
+                    },
+                    headers=[("Retry-After", str(retry_after))],
+                )
+            self._admitted += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._admitted -= 1
 
-    def _release(self) -> None:
-        self._admitted = max(0, self._admitted - 1)
-
+    @staticmethod
     def _deadline_from(
-        self, request: _Request, body_deadline_ms: Optional[float]
+        headers: Message, body_deadline_ms: Optional[float]
     ) -> tuple[Optional[float], Optional[float]]:
         """The ``(deadline_ms, absolute monotonic deadline)`` of a request.
 
@@ -929,7 +773,7 @@ class AnalysisServer:
         absolute deadline anchors at admission, so queue wait counts
         against the client's budget.
         """
-        header = request.header("x-repro-deadline-ms")
+        header = headers.get("x-repro-deadline-ms")
         deadline_ms = body_deadline_ms
         if header:
             try:
@@ -942,44 +786,21 @@ class AnalysisServer:
             return None, None
         return deadline_ms, time.monotonic() + deadline_ms / 1000.0
 
-    def _submit_blocking(
-        self, task: AnalysisTask, deadline_at: Optional[float]
-    ) -> tuple[BatchResult, dict]:
-        """Run in an executor thread: pool submit under the remaining budget."""
-        if deadline_at is None:
-            return self.pool.submit_with_meta(task)
-        remaining = max(0.0, deadline_at - time.monotonic())
-        return self.pool.submit_with_meta(task, timeout=remaining)
-
-    def _run_batch_blocking(
-        self,
-        tasks: Sequence[AnalysisTask],
-        suite: Optional[str],
-        deadline_at: Optional[float],
-    ) -> dict[str, Any]:
-        _, document = run_batch(self.pool, tasks, suite=suite, deadline=deadline_at)
-        return document
-
     # ------------------------------------------------------------------ #
-    # Routes
+    # Routes: each returns the 200 document or raises _HttpError
     # ------------------------------------------------------------------ #
-    async def _route_analyze(
-        self, request: _Request
-    ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
+    def _route_analyze(self, headers: Message, body: bytes) -> dict[str, Any]:
         try:
             task, body_deadline = task_from_request(
-                request.body, request.header("content-type", "application/json")
+                body, headers.get("content-type", "application/json")
             )
         except ValueError as error:
             raise _HttpError(400, "bad_request", str(error)) from None
-        deadline_ms, deadline_at = self._deadline_from(request, body_deadline)
-        self._admit()
-        try:
-            result, _ = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._submit_blocking, task, deadline_at
-            )
-        finally:
-            self._release()
+        deadline_ms, deadline_at = self._deadline_from(headers, body_deadline)
+        # The pool counts its wait for an idle worker against this budget.
+        timeout = None if deadline_ms is None else deadline_ms / 1000.0
+        with self._admission():
+            result, _ = self.pool.submit_with_meta(task, timeout=timeout)
         if (
             deadline_at is not None
             and result.outcome == "timeout"
@@ -1000,24 +821,17 @@ class AnalysisServer:
                 result.detail[len("invalid-program:") :].strip(),
                 detail={"result": result.to_dict()},
             )
-        return 200, result.to_dict(), []
+        return result.to_dict()
 
-    async def _route_batch(
-        self, request: _Request
-    ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
+    def _route_batch(self, headers: Message, body: bytes) -> dict[str, Any]:
         try:
-            suite, tasks, deadline_ms = tasks_from_batch_request(request.body)
+            suite, tasks, deadline_ms = tasks_from_batch_request(body)
         except ValueError as error:
             raise _HttpError(400, "bad_request", str(error)) from None
-        deadline_ms, deadline_at = self._deadline_from(request, deadline_ms)
-        self._admit()
-        try:
-            document = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._run_batch_blocking, tasks, suite, deadline_at
-            )
-        finally:
-            self._release()
-        totals = document.get("totals", {})
+        deadline_ms, deadline_at = self._deadline_from(headers, deadline_ms)
+        with self._admission():
+            _, document = run_batch(self.pool, tasks, suite=suite, deadline=deadline_at)
+        totals = document["totals"]
         if (
             deadline_at is not None
             and totals.get("timeout")
@@ -1031,56 +845,40 @@ class AnalysisServer:
                 " timed out)",
                 detail={"deadline_ms": deadline_ms, "totals": totals},
             )
-        return 200, document, []
+        return document
 
-    def _lint_blocking(
-        self, source: str, severity: str, disabled: tuple[str, ...]
-    ) -> list:
-        from ..lint import filter_diagnostics, lint_source
-
-        return filter_diagnostics(lint_source(source), severity, disabled)
-
-    async def _route_lint(
-        self, request: _Request
-    ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
+    def _route_lint(self, headers: Message, body: bytes) -> dict[str, Any]:
         """Lint one program; always 200 with the diagnostics document.
 
         Lint findings — including parse errors (``R000``) — are the
         *content* of the answer, not request failures, so only a malformed
         request body earns a non-2xx envelope.  Linting is front-end-only
-        work (no analysis), so it takes no admission slot and runs on the
-        loop's default executor: the admission executor's threads may all
-        be waiting on analyses.
+        work (no analysis), so it takes no admission slot.
         """
+        from ..lint import filter_diagnostics, lint_source
+
         try:
             source, severity, disabled = lint_request(
-                request.body, request.header("content-type", "application/json")
+                body, headers.get("content-type", "application/json")
             )
         except ValueError as error:
             raise _HttpError(400, "bad_request", str(error)) from None
-        diagnostics = await asyncio.to_thread(
-            self._lint_blocking, source, severity, disabled
-        )
+        diagnostics = filter_diagnostics(lint_source(source), severity, disabled)
         counts: dict[str, int] = {}
         for diagnostic in diagnostics:
             counts[diagnostic.severity] = counts.get(diagnostic.severity, 0) + 1
-        document = {
+        return {
             "ok": counts.get("error", 0) == 0,
             "counts": counts,
             "diagnostics": [diagnostic.to_dict() for diagnostic in diagnostics],
         }
-        return 200, document, []
 
-    async def _route_healthz(
-        self, request: _Request
-    ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
-        return 200, {"status": "ok", "workers": self.pool.workers}, []
+    def _route_healthz(self, headers: Message, body: bytes) -> dict[str, Any]:
+        return {"status": "ok", "workers": self.pool.workers}
 
-    async def _route_metrics(
-        self, request: _Request
-    ) -> tuple[int, dict[str, Any], list[tuple[str, str]]]:
-        document = self.metrics.document(self.capacity, self._admitted, self.pool)
-        return 200, document, []
+    def _route_metrics(self, headers: Message, body: bytes) -> dict[str, Any]:
+        with self._lock:
+            return self.metrics.document(self.capacity, self._admitted, self.pool)
 
 
 def serve(

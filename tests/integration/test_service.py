@@ -6,14 +6,16 @@ agree with the cold engine, failures replace workers without sinking the
 service, ``POST /v1/batch`` serves whole suites bit-identically to
 ``repro bench``, warm state never reaches the disk,
 ``repro bench --engine warm`` / ``repro batch`` round-trip through the
-CLI, and ``repro serve`` leaves no worker behind.  The asyncio
+CLI, and ``repro serve`` leaves no worker behind.  The threaded
 front-end's SLO machinery has its own classes below: the ``/v1`` route
 aliasing and error envelope (``TestV1Api``), bounded admission
-(``TestBackpressure``), per-request deadlines (``TestDeadlines``) and the
+(``TestBackpressure``), per-request deadlines (``TestDeadlines``), the
 ``/v1/metrics`` document under concurrent keep-alive load
-(``TestMetrics``).
+(``TestMetrics``), and raw-socket framing and shutdown
+(``TestHttpFraming``).
 """
 
+import http.client
 import json
 import multiprocessing
 import os
@@ -892,6 +894,49 @@ class TestDeadlines:
         finally:
             _stop_server(server, thread)
 
+    @pytest.mark.parametrize("route", ["analyze", "batch"])
+    def test_waiting_for_a_worker_counts_against_the_deadline(self, route):
+        """The deadline anchors at admission: a request queued behind a
+        busy worker times out when its budget runs out, without taking
+        (and then killing) the worker."""
+        pool = WorkerPool(workers=1)
+        server, thread = _start_server(pool)
+        host, port = server.address
+        url = f"http://{host}:{port}"
+        holder = threading.Thread(
+            target=lambda: ServiceClient(url).analyze(
+                {"source": "ignored", "kind": "service-sleep", "params": {"seconds": 2}}
+            ),
+            daemon=True,
+        )
+        task = {
+            "name": "queued",
+            "source": "ignored",
+            "kind": "service-sleep",
+            "params": {"seconds": 0.1},
+        }
+        try:
+            holder.start()
+            with ServiceClient(url) as client:
+                deadline = time.monotonic() + 10
+                while client.metrics().document["workers"]["busy"] != 1:
+                    assert time.monotonic() < deadline, "the holder never started"
+                    time.sleep(0.02)
+                started = time.monotonic()
+                with pytest.raises(ServiceHTTPError) as error:
+                    if route == "analyze":
+                        client.analyze(task, deadline_ms=1000)
+                    else:
+                        client.batch({"tasks": [task]}, deadline_ms=1000)
+                elapsed = time.monotonic() - started
+            assert error.value.status == 504
+            assert error.value.code == "deadline_exceeded"
+            assert elapsed < 1.5
+            holder.join(30)
+            assert pool.stats_dict()["restarts"] == 0
+        finally:
+            _stop_server(server, thread)
+
 
 class TestMetrics:
     def test_percentiles_under_concurrent_keep_alive_clients(self):
@@ -932,6 +977,45 @@ class TestMetrics:
         finally:
             _stop_server(server, thread)
 
+    def test_no_count_is_lost_across_connection_threads(self):
+        """Every connection thread updates the admission counter, the
+        metrics and the request ids; with more clients than cores and a
+        short switch interval, a lost update would show in the totals."""
+        pool = WorkerPool(workers=2)
+        server, thread = _start_server(pool)
+        host, port = server.address
+        clients, rounds = 8, 15
+        sleep0 = {"source": "ignored", "kind": "service-sleep", "params": {"seconds": 0}}
+        ids: list[str] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def hammer():
+                with ServiceClient(f"http://{host}:{port}") as client:
+                    for _ in range(rounds):
+                        ids.append(client.healthz().request_id)
+                        ids.append(client.analyze(sleep0).request_id)
+
+            threads = [threading.Thread(target=hammer) for _ in range(clients)]
+            for worker in threads:
+                worker.start()
+            for worker in threads:
+                worker.join(120)
+            assert not any(worker.is_alive() for worker in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            with ServiceClient(f"http://{host}:{port}") as client:
+                metrics = client.metrics().document
+            total = clients * rounds
+            assert len(ids) == len(set(ids)) == 2 * total
+            assert metrics["routes"]["healthz"]["count"] == total
+            assert metrics["routes"]["analyze"]["count"] == total
+            assert metrics["responses"]["2xx"] == 2 * total
+            assert metrics["queue"]["in_flight"] == 0
+        finally:
+            _stop_server(server, thread)
+
     def test_error_responses_are_counted_by_class(self):
         pool = WorkerPool(workers=1)
         server, thread = _start_server(pool)
@@ -944,6 +1028,189 @@ class TestMetrics:
             assert metrics["responses"]["4xx"] >= 1
         finally:
             _stop_server(server, thread)
+
+
+def _exchange(address, data: bytes, timeout: float = 30) -> bytes:
+    """Send raw bytes on a fresh connection; read until the server closes it."""
+    received = b""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        try:
+            sock.sendall(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server answered and closed before reading it all
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # unread request bytes reset the closed connection
+            if not chunk:
+                break
+            received += chunk
+    return received
+
+
+def _responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
+    """Split raw bytes into ``(status, lower-cased headers, body)`` answers."""
+    answers = []
+    while data:
+        head, separator, data = data.partition(b"\r\n\r\n")
+        assert separator, f"truncated answer head {head[:200]!r}"
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        answers.append((int(status_line.split()[1]), headers, data[:length]))
+        data = data[length:]
+    return answers
+
+
+#: Requests whose framing the server cannot parse, and the envelope code
+#: each must get.
+_FRAMING_ERRORS = {
+    "malformed-request-line": (b"NOT A REQUEST LINE\r\n\r\n", "bad_request"),
+    "overlong-request-line": (
+        b"GET /v1/" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        "bad_request",
+    ),
+    "non-numeric-content-length": (
+        b"POST /v1/analyze HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        "bad_request",
+    ),
+    "negative-content-length": (
+        b"POST /v1/analyze HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        "bad_request",
+    ),
+    "header-without-colon": (
+        b"GET /v1/healthz HTTP/1.1\r\nno colon on this line\r\n\r\n",
+        "bad_request",
+    ),
+    "200-header-lines": (
+        b"GET /v1/healthz HTTP/1.1\r\n"
+        + b"".join(b"X-Filler-%d: x\r\n" % index for index in range(200))
+        + b"\r\n",
+        "bad_request",
+    ),
+    "body-over-16-MiB-unsent": (
+        b"POST /v1/analyze HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (16 * 1024 * 1024 + 1),
+        "payload_too_large",
+    ),
+}
+
+
+class TestHttpFraming:
+    """Raw-socket framing: what a client that does not speak clean HTTP/1.1
+    gets back.  Status codes and reason phrases of the overlong and
+    too-many-headers cases are not pinned, only the envelope code."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        server, thread = _start_server(WorkerPool(workers=1))
+        yield server
+        _stop_server(server, thread)
+
+    @staticmethod
+    def _envelope(answer) -> dict:
+        status, headers, body = answer
+        assert headers["content-type"] == "application/json"
+        envelope = json.loads(body)
+        assert set(envelope) == {"error", "request_id"}
+        return envelope
+
+    @pytest.mark.parametrize("case", sorted(_FRAMING_ERRORS))
+    def test_framing_error_is_one_envelope_then_close(self, server, case):
+        data, code = _FRAMING_ERRORS[case]
+        answers = _responses(_exchange(server.address, data))
+        assert len(answers) == 1, answers
+        assert self._envelope(answers[0])["error"]["code"] == code
+
+    @pytest.mark.parametrize("case", sorted(_FRAMING_ERRORS))
+    def test_framing_error_has_a_request_id_and_is_counted(self, server, case):
+        data, _ = _FRAMING_ERRORS[case]
+        host, port = server.address
+        with ServiceClient(f"http://{host}:{port}") as client:
+            before = client.metrics().document["responses"]
+            ((status, headers, body),) = _responses(_exchange(server.address, data))
+            after = client.metrics().document["responses"]
+        assert headers.get("x-request-id")
+        assert json.loads(body)["request_id"] == headers["x-request-id"]
+        assert 400 <= status < 500
+        assert after["4xx"] == before["4xx"] + 1
+
+    def test_chunked_body_is_one_400_then_close(self, server):
+        body = json.dumps({"source": TRIVIAL}).encode("utf-8")
+        data = (
+            b"POST /v1/analyze HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body)
+            + body
+            + b"\r\n0\r\n\r\n"
+        )
+        answers = _responses(_exchange(server.address, data))
+        assert len(answers) == 1, answers
+        assert answers[0][0] == 400
+        error = self._envelope(answers[0])["error"]
+        assert error["code"] == "bad_request"
+        assert "chunked" in error["message"]
+
+    def test_put_is_405_with_allow(self, server):
+        data = (
+            b"PUT /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+            b"Connection: close\r\n\r\n{}"
+        )
+        ((status, headers, body),) = _responses(_exchange(server.address, data))
+        assert status == 405
+        assert headers["allow"] == "POST"
+        assert json.loads(body)["error"]["code"] == "method_not_allowed"
+
+    def test_http_1_0_without_keep_alive_gets_one_answer(self, server):
+        data = b"GET /v1/healthz HTTP/1.0\r\n\r\n"
+        answers = _responses(_exchange(server.address, data, timeout=10))
+        assert [status for status, _, _ in answers] == [200]
+        assert json.loads(answers[0][2])["status"] == "ok"
+
+    def test_close_ends_open_keep_alive_connections(self):
+        before = set(threading.enumerate())
+        server, thread = _start_server(WorkerPool(workers=1))
+        request = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(request)
+            answer = http.client.HTTPResponse(sock)
+            answer.begin()
+            assert answer.status == 200 and answer.read()
+            answer.close()
+            _stop_server(server, thread)
+            late = b""
+            try:
+                sock.sendall(request)
+                while chunk := sock.recv(65536):
+                    late += chunk
+            except (BrokenPipeError, ConnectionResetError):
+                pass
+        assert late == b""
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_front_end(self):
+        """``import repro.cli`` is what paper-cold's ``setup_s`` times, so
+        the HTTP front-end must stay off its import path."""
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        code = "import json, sys, repro.cli; print(json.dumps(sorted(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=environment,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        assert [name for name in loaded if name.startswith("repro.service")] == []
+        assert {"asyncio", "http.server", "socketserver"} & set(loaded) == set()
 
 
 class TestServeBindFailure:
