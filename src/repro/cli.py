@@ -5,12 +5,9 @@
     repro analyze FILE [--procedure P] [--cost-variable V] [--sub k=v ...]
                 [--lint]
     repro bench --suite table1|fig3|table2|all [--tool chora|icra|unrolling]
-                [--depth N] [--jobs N] [--full] [--json]
-                [--engine pool|warm] [--lint]
+                [--depth N] [--jobs N] [--full] [--json] [--lint]
     repro lint FILE ... [--severity error|warning|info] [--disable CODES]
                [--json]
-    repro batch --url URL (--suite NAME | --tasks FILE) [--deadline-ms MS]
-                [--retry-429 N] [--json]
     repro serve [--host H] [--port P] [--workers N] [--timeout S]
                 [--backlog N]
     repro fuzz [--seed S] [--count N] [--runs R] [--size K] [--minimize]
@@ -24,19 +21,14 @@ the cost bound.  ``bench`` reproduces an evaluation artefact of the paper
 through the batch engine: programs run concurrently in worker processes,
 results are cached on disk, and a pathological program can at worst time out
 — never sink the batch; ``--tool`` swaps in one of the paper's comparison
-baselines, ``--engine warm`` serves the batch from long-lived warm workers
-instead of one process per task; under the default engine every task the
-cache misses runs cold in its own fork.  ``bench`` exits 1 when a row errors
-or crashes; a timed-out row is not a failure.  ``serve`` starts the warm
-analysis service, whose workers keep their warm state in memory for as long
-as they live: a threaded HTTP endpoint
-(versioned under ``/v1``, with keep-alive, bounded admission, per-request
-deadlines and a ``/v1/metrics`` SLO document that also carries the pool
-counters) whose ``POST /v1/analyze`` accepts program source and returns the
-same JSON records as ``repro analyze --json`` and whose ``POST /v1/batch``
-runs whole suites; ``batch`` is the matching client — it sends a suite (or
-an inline task list) to a remote service and renders the records exactly
-like ``repro bench``.
+baselines.  Every task the cache misses runs cold in its own fork.
+``bench`` exits 1 when a row errors or crashes; a timed-out row is not a
+failure.  ``serve`` starts the warm analysis service, whose workers keep
+their warm state in memory for as long as they live: a threaded HTTP
+endpoint (versioned under ``/v1``, with keep-alive, bounded admission,
+per-request deadlines and a ``/v1/metrics`` SLO document that also carries
+the pool counters) whose ``POST /v1/analyze`` accepts program source and
+returns the same JSON records as ``repro analyze --json``.
 ``lint`` runs the semantic diagnostics passes (see ``docs/linting.md``)
 over program files without analysing them: exit status 1 when any
 error-severity diagnostic fires, 0 otherwise; ``analyze`` and ``bench``
@@ -58,7 +50,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .benchlib.suites import SUITES, suite_names
 from .engine.suites import TOOLS
@@ -163,13 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="unrolling depth for --tool unrolling (default: the unroller's)",
     )
-    bench.add_argument(
-        "--engine",
-        choices=["pool", "warm"],
-        default="pool",
-        help="pool: one forked process per task (default); warm: long-lived"
-        " warm workers with hot caches (see repro serve)",
-    )
     _lint_gate_argument(bench)
     _engine_arguments(bench, jobs=True)
 
@@ -187,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_count_at_least(1),
         default=2,
         help="number of warm worker processes (default: 2)",
     )
     serve.add_argument(
         "--backlog",
-        type=int,
+        type=_count_at_least(0),
         default=None,
         metavar="N",
         help="admission queue length beyond the worker count: at most"
@@ -204,77 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log every HTTP request"
     )
     _engine_arguments(serve, jobs=False, json_flag=False)
-
-    batch = commands.add_parser(
-        "batch",
-        help="send a suite (or inline tasks) to a remote repro serve /batch",
-    )
-    batch.add_argument(
-        "--url",
-        required=True,
-        metavar="URL",
-        help="base URL of a running analysis service, e.g."
-        " http://127.0.0.1:8734",
-    )
-    batch.add_argument(
-        "--suite",
-        choices=sorted(suite_names()) + ["all"],
-        default=None,
-        help="suite to run remotely (the service resolves it from its own"
-        " benchmark registry)",
-    )
-    batch.add_argument(
-        "--full",
-        action="store_true",
-        help="include the slow rows (resolved by the service)",
-    )
-    batch.add_argument(
-        "--tool",
-        choices=sorted(TOOLS),
-        default="chora",
-        help="analyser the service should run the suite with (default: chora)",
-    )
-    batch.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="unrolling depth for --tool unrolling (default: the unroller's)",
-    )
-    batch.add_argument(
-        "--tasks",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="send an inline task list instead of a suite: a JSON list of"
-        " /analyze-shaped task objects (mutually exclusive with --suite)",
-    )
-    batch.add_argument(
-        "--http-timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="client-side HTTP timeout for the whole batch (default: 600)",
-    )
-    batch.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="server-side deadline for the whole batch (X-Repro-Deadline-Ms;"
-        " the service answers 504 past it)",
-    )
-    batch.add_argument(
-        "--retry-429",
-        type=int,
-        default=2,
-        metavar="N",
-        help="how many times to retry a 429 backpressure answer, honouring"
-        " the service's Retry-After hint (0 fails fast; default: 2)",
-    )
-    batch.add_argument(
-        "--json", action="store_true", help="emit the service's JSON document"
-    )
 
     fuzz = commands.add_parser(
         "fuzz",
@@ -350,6 +264,26 @@ def _timeout_seconds(text: str) -> float:
     return value
 
 
+def _count_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer count of at least ``minimum``.
+
+    The engine and the pool clamp a smaller ``--jobs`` or ``--workers``, and
+    the server a negative ``--backlog``, so accepting one would report a
+    value other than the one that ran.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+
+    return parse
+
+
 def _engine_arguments(
     parser: argparse.ArgumentParser,
     jobs: bool,
@@ -359,7 +293,7 @@ def _engine_arguments(
         parser.add_argument(
             "--jobs",
             "-j",
-            type=int,
+            type=_count_at_least(1),
             default=1,
             help="number of concurrent worker processes (default: 1)",
         )
@@ -508,39 +442,12 @@ def _command_bench(arguments: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
-    options = ChoraOptions()
-    cache = make_cache(
-        no_cache=getattr(arguments, "no_cache", False),
-        directory=arguments.cache_dir,
-    )
 
     def progress(result: BatchResult) -> None:
         if not arguments.json:
             print(f"  {result.name}: {_verdict(result)}", flush=True)
 
-    if arguments.engine == "warm":
-        from .service import WorkerPool, run_batch
-
-        with WorkerPool(
-            workers=arguments.jobs,
-            timeout=arguments.timeout,
-            options=options,
-            cache=cache,
-        ) as pool:
-            # The same suite-serving path POST /batch uses, so a local warm
-            # bench and a served suite return identical records.
-            results, _ = run_batch(
-                pool, tasks, suite=arguments.suite, progress=progress
-            )
-    else:
-        engine = BatchEngine(
-            jobs=arguments.jobs,
-            timeout=arguments.timeout,
-            cache=cache,
-            options=options,
-        )
-        results = engine.run(tasks, progress=progress)
-
+    results = _make_engine(arguments).run(tasks, progress=progress)
     totals = summarize_batch(results)
     if arguments.json:
         print(
@@ -548,7 +455,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
                 {
                     "suite": arguments.suite,
                     "tool": arguments.tool,
-                    "engine": arguments.engine,
                     "jobs": arguments.jobs,
                     "full": full,
                     "results": [result.to_dict() for result in results],
@@ -559,143 +465,31 @@ def _command_bench(arguments: argparse.Namespace) -> int:
             )
         )
     else:
-        _print_batch_report(results, totals)
-    return 1 if totals["error"] or totals["crash"] else 0
-
-
-def _print_batch_report(results, totals: dict) -> None:
-    """The human-readable table + summary line shared by bench and batch."""
-    print()
-    print(
-        format_table(
-            ["benchmark", "suite", "kind", "outcome", "verdict", "time", "cache"],
-            [
+        print()
+        print(
+            format_table(
+                ["benchmark", "suite", "kind", "outcome", "verdict", "time", "cache"],
                 [
-                    result.name,
-                    result.suite or "-",
-                    result.kind,
-                    result.outcome,
-                    _verdict(result),
-                    f"{result.wall_time:.2f}s",
-                    "hit" if result.cache_hit else "-",
-                ]
-                for result in results
-            ],
-        )
-    )
-    # Defaults: local engines always fill every counter, but this also
-    # renders responses from a remote service of another version.
-    def count(key: str):
-        value = totals.get(key)
-        return value if isinstance(value, (int, float)) else 0
-
-    crash = f", {count('crash')} crash" if count("crash") else ""
-    print(
-        f"\n{count('ok')}/{count('total')} ok, {count('proved')} proved, "
-        f"{count('timeout')} timeout, {count('error')} error{crash}, "
-        f"{count('cache_hits')} cache hits, {count('wall_time'):.2f}s total"
-    )
-
-
-def _command_batch(arguments: argparse.Namespace) -> int:
-    """Client mode: run a suite on a remote ``repro serve`` via POST /v1/batch."""
-    from .service.client import (
-        MalformedResponse,
-        ServiceClient,
-        ServiceHTTPError,
-        ServiceUnreachable,
-    )
-
-    if (arguments.suite is None) == (arguments.tasks is None):
-        print(
-            "repro batch: pass exactly one of --suite NAME or --tasks FILE",
-            file=sys.stderr,
-        )
-        return 2
-    if arguments.tasks is not None:
-        # An inline task list carries its own kind/params per task; suite
-        # options silently doing nothing would mislabel measurements.
-        if arguments.tool != "chora" or arguments.depth is not None or arguments.full:
-            print(
-                "repro batch: --tool/--depth/--full apply to --suite runs;"
-                " inline --tasks objects set their own kind and params",
-                file=sys.stderr,
+                    [
+                        result.name,
+                        result.suite or "-",
+                        result.kind,
+                        result.outcome,
+                        _verdict(result),
+                        f"{result.wall_time:.2f}s",
+                        "hit" if result.cache_hit else "-",
+                    ]
+                    for result in results
+                ],
             )
-            return 2
-        try:
-            items = json.loads(arguments.tasks.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"repro batch: cannot read {arguments.tasks}: {error}", file=sys.stderr)
-            return 2
-        if not isinstance(items, list):
-            print(
-                f"repro batch: {arguments.tasks} must hold a JSON list of"
-                " task objects",
-                file=sys.stderr,
-            )
-            return 2
-        body: dict = {"tasks": items}
-    else:
-        body = {
-            "suite": arguments.suite,
-            "full": arguments.full or full_bench_enabled(),
-            "tool": arguments.tool,
-        }
-        if arguments.depth is not None:
-            body["depth"] = arguments.depth
-    try:
-        with ServiceClient(arguments.url, timeout=arguments.http_timeout) as client:
-            document = client.batch(
-                body,
-                deadline_ms=arguments.deadline_ms,
-                retries_429=arguments.retry_429,
-            ).document
-    except ServiceHTTPError as error:
-        # The envelope names the failure precisely; quote it.  429 and 504
-        # are the service's SLO protections doing their job, called out as
-        # such rather than reported as generic HTTP failures.
-        hint = ""
-        if error.status == 429 and error.retry_after is not None:
-            hint = f" (retry after {error.retry_after:g}s)"
-        rid = f" [{error.request_id}]" if error.request_id else ""
+        )
+        crash = f", {totals['crash']} crash" if totals["crash"] else ""
         print(
-            f"repro batch: the service answered {error.status}"
-            f" {error.code or 'error'}: {error.message}{hint}{rid}",
-            file=sys.stderr,
+            f"\n{totals['ok']}/{totals['total']} ok, {totals['proved']} proved, "
+            f"{totals['timeout']} timeout, {totals['error']} error{crash}, "
+            f"{totals['cache_hits']} cache hits, {totals['wall_time']:.2f}s total"
         )
-        return 2
-    except ServiceUnreachable as error:
-        print(f"repro batch: cannot reach {arguments.url}: {error}", file=sys.stderr)
-        return 2
-    except MalformedResponse as error:
-        print(f"repro batch: malformed service response: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"repro batch: {error}", file=sys.stderr)
-        return 2
-    if not isinstance(document, dict):
-        print("repro batch: malformed service response: not a JSON object",
-              file=sys.stderr)
-        return 2
-    try:
-        results = [BatchResult.from_dict(r) for r in document.get("results", [])]
-        totals = dict(document["totals"])
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        print(f"repro batch: malformed service response: {error}", file=sys.stderr)
-        return 2
-    if arguments.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        _print_batch_report(results, totals)
-        spliced = sum(
-            len(entry.get("reused", ()))
-            for entry in document.get("incremental", [])
-            if isinstance(entry, dict)
-        )
-        print(f"{spliced} procedure summaries spliced by the service")
-    if totals.get("error") or totals.get("crash"):
-        return 1
-    return 0
+    return 1 if totals["error"] or totals["crash"] else 0
 
 
 def _command_serve(arguments: argparse.Namespace) -> int:
@@ -1025,7 +819,6 @@ _COMMANDS = {
     "analyze": _command_analyze,
     "bench": _command_bench,
     "lint": _command_lint,
-    "batch": _command_batch,
     "serve": _command_serve,
     "fuzz": _command_fuzz,
     "suites": _command_suites,

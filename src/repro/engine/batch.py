@@ -105,36 +105,6 @@ class BatchResult:
             "payload": dict(self.payload),
         }
 
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "BatchResult":
-        """Rebuild a result from its :meth:`to_dict` record.
-
-        Used by the ``repro batch`` client to render records a remote
-        ``POST /batch`` returned with the same reporting code local engines
-        use; unknown outcomes or missing fields raise ``ValueError``.
-        """
-        try:
-            outcome = str(record["outcome"])
-            if outcome not in OUTCOMES:
-                raise ValueError(f"unknown outcome {outcome!r}")
-            payload = record.get("payload") or {}
-            if not isinstance(payload, Mapping):
-                raise ValueError('"payload" must be an object')
-            return cls(
-                name=str(record["name"]),
-                kind=str(record["kind"]),
-                outcome=outcome,
-                wall_time=float(record.get("wall_time") or 0.0),
-                cache_hit=bool(record.get("cache_hit", False)),
-                suite=record.get("suite"),
-                proved=record.get("proved"),
-                bound=record.get("bound"),
-                detail=str(record.get("detail") or ""),
-                payload=dict(payload),
-            )
-        except (KeyError, TypeError) as error:
-            raise ValueError(f"malformed result record: {error}") from None
-
 
 def settle_without_worker(
     task: AnalysisTask,

@@ -22,36 +22,19 @@ traffic:
   (``X-Repro-Deadline-Ms`` → 504 on expiry) and a ``/v1/metrics`` SLO
   document; it returns exactly the JSON records ``repro analyze --json``
   prints.
-* :class:`~repro.service.client.ServiceClient` — the one keep-alive HTTP
-  client for that API, shared by ``repro batch --url`` and the integration
-  tests, raising typed errors decoded from the service's uniform error
-  envelope.
 
 Results are indistinguishable from the cold engine's up to fresh-symbol
 numbering: every warm structure (memo tables, spliced summaries) is keyed
 on content and pure, so warmth changes latency, never verdicts.
 """
 
-from .client import (
-    MalformedResponse,
-    ServiceClient,
-    ServiceError,
-    ServiceHTTPError,
-    ServiceUnreachable,
-)
 from .pool import PoolStats, WorkerPool
-from .server import AnalysisServer, ServiceMetrics, run_batch, serve
+from .server import AnalysisServer, ServiceMetrics, serve
 
 __all__ = [
     "WorkerPool",
     "PoolStats",
     "AnalysisServer",
     "ServiceMetrics",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHTTPError",
-    "ServiceUnreachable",
-    "MalformedResponse",
-    "run_batch",
     "serve",
 ]

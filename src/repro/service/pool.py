@@ -10,8 +10,8 @@ dicts the batch engine's cold workers produce.
 
 The parent hands a request to exactly one idle worker at a time (a worker's
 pipe is never shared between two in-flight requests), so the pool is safe
-to drive from multiple threads: the HTTP server checks workers out of an
-idle queue, and :meth:`WorkerPool.run` fans a task list out over them.
+to drive from multiple threads: each of the HTTP server's connection
+threads checks a worker out of an idle queue for its request.
 
 Failure handling is the batch engine's isolation core
 (:mod:`repro.engine.batch`: ``run_in_worker``, ``send_reply`` and
@@ -36,15 +36,13 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional
 
 from ..core import ChoraOptions
 from ..engine.batch import (
     BatchResult,
     WorkerProcess,
-    fill_unreported,
     run_in_worker,
     send_reply,
     settle_without_worker,
@@ -74,7 +72,6 @@ def _worker_main(connection, options: ChoraOptions) -> None:
 
     analyzer = IncrementalAnalyzer()
     previous = set_program_analyzer(analyzer.analyze)
-    requests = 0
     # A forked worker inherits copies of the parent's pipe ends, so the
     # parent's death does not reach it as EOF: it notices instead that it
     # has been re-parented, and exits rather than live on as an orphan.
@@ -95,16 +92,11 @@ def _worker_main(connection, options: ChoraOptions) -> None:
                     break
                 if message is None:
                     break
-                requests += 1
-                started = time.perf_counter()
                 # Reset so kinds that never run CHORA (the baselines) don't
                 # report the previous request's splice counts.
                 analyzer.last_report = IncrementalReport()
                 status, body = run_in_worker(message, options)
-                meta = {
-                    "worker_seconds": round(time.perf_counter() - started, 4),
-                    "requests": requests,
-                }
+                meta = {}
                 if status == "ok":
                     meta["incremental"] = analyzer.last_report.to_dict()
                 send_reply(connection, status, body, meta)
@@ -268,7 +260,7 @@ class WorkerPool:
         with self._stats_lock:
             self.stats.restarts += 1
         # Replacements happen while request threads are live (the HTTP
-        # server, run()'s executor), and forking a multithreaded process
+        # server's connection threads), and forking a multithreaded process
         # can deadlock the child.  Spawn instead: the replacement pays a
         # one-off interpreter + import start-up — acceptable on the
         # exceptional timeout/crash path — and serves warm thereafter.
@@ -281,28 +273,16 @@ class WorkerPool:
         """Run one task on a warm worker and return its result record.
 
         Thread-safe; blocks while every worker is busy.  The record has
-        exactly the shape the batch engine produces, so callers (the HTTP
-        server, ``repro bench --engine warm``) are engine-agnostic.
+        exactly the shape the batch engine produces, so the HTTP server
+        answers with the records ``repro bench`` prints.
         ``timeout`` is a per-request deadline in seconds that covers the
         wait for an idle worker too: when it runs out first, the record is
         a ``timeout`` and no worker is engaged.  The worker then runs under
         what is left of it, and it can only *tighten* the pool-wide
         deadline, which bounds every run, so a client-supplied deadline
         never extends the budget the operator configured.  ``0`` is an
-        immediate deadline, ``None`` falls back to the pool default.
-        """
-        return self.submit_with_meta(task, timeout=timeout)[0]
-
-    def submit_with_meta(
-        self, task: AnalysisTask, timeout: Optional[float] = None
-    ) -> tuple[BatchResult, dict]:
-        """Like :meth:`submit`, also returning the worker's meta dict.
-
-        The meta carries the per-request incremental splice report
-        (``meta["incremental"]``, the
-        :class:`~repro.core.incremental.IncrementalReport` shape) and the
-        worker-side timing; it is ``{}`` for requests that never engaged a
-        worker (cache hits, immediate deadlines).
+        immediate deadline, ``None`` falls back to the pool default.  The
+        worker's incremental splice report goes into the pool's counters.
         """
         if self._closed:
             raise RuntimeError("the worker pool is closed")
@@ -338,7 +318,7 @@ class WorkerPool:
                     self.stats.cache_hits += 1
                 else:
                     self.stats.timeouts += 1
-            return settled, {}
+            return settled
 
         started = time.monotonic()
         try:
@@ -349,13 +329,13 @@ class WorkerPool:
             with self._stats_lock:
                 self.stats.timeouts += 1
             detail = f"exceeded the {effective:g}s deadline"
-            return BatchResult.failed(task, "timeout", elapsed, detail), {}
+            return BatchResult.failed(task, "timeout", elapsed, detail)
         except ConnectionError as error:
             elapsed = time.monotonic() - started
             self._replace(worker)
             with self._stats_lock:
                 self.stats.crashes += 1
-            return BatchResult.failed(task, "crash", elapsed, str(error)), {}
+            return BatchResult.failed(task, "crash", elapsed, str(error))
         except BaseException:
             # Any other failure between checkout and reply (a payload that
             # cannot pickle for the send, an interrupt, a bug) leaves the
@@ -375,53 +355,10 @@ class WorkerPool:
         if status != "ok":
             with self._stats_lock:
                 self.stats.errors += 1
-            return BatchResult.failed(task, "error", elapsed, str(body)), meta
+            return BatchResult.failed(task, "error", elapsed, str(body))
         if key is not None and self.cache is not None:
             self.cache.put(key, body, task_name=task.name, suite=task.suite)
-        return BatchResult.succeeded(task, body, elapsed, False), meta
-
-    def run(
-        self,
-        tasks: Sequence[AnalysisTask],
-        progress: Optional[Callable[[BatchResult], None]] = None,
-        deadline: Optional[float] = None,
-    ) -> list[BatchResult]:
-        """Run a batch over the warm pool; results come back in task order."""
-        return self.run_with_meta(tasks, progress, deadline=deadline)[0]
-
-    def run_with_meta(
-        self,
-        tasks: Sequence[AnalysisTask],
-        progress: Optional[Callable[[BatchResult], None]] = None,
-        deadline: Optional[float] = None,
-    ) -> tuple[list[BatchResult], list[dict]]:
-        """Run a batch, returning per-task worker metas next to the results.
-
-        ``metas[i]`` is the meta dict of ``results[i]`` (see
-        :meth:`submit_with_meta`); the ``POST /batch`` route surfaces the
-        incremental splice report it carries per task.  ``deadline`` is an
-        absolute ``time.monotonic()`` instant bounding the *whole batch*:
-        each task runs under the time remaining until it (tasks starting
-        after expiry report ``timeout`` immediately, the pool-wide
-        per-request deadline still applies on top).
-        """
-        results: list[Optional[BatchResult]] = [None] * len(tasks)
-        metas: list[dict] = [{} for _ in tasks]
-
-        def work(index: int) -> None:
-            timeout = None
-            if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())
-            result, meta = self.submit_with_meta(tasks[index], timeout=timeout)
-            results[index] = result
-            metas[index] = meta
-            if progress is not None:
-                progress(result)
-
-        with ThreadPoolExecutor(max_workers=self.workers) as executor:
-            for future in [executor.submit(work, i) for i in range(len(tasks))]:
-                future.result()
-        return fill_unreported(tasks, results), metas
+        return BatchResult.succeeded(task, body, elapsed, False)
 
     # ------------------------------------------------------------------ #
     def _absorb_meta(self, meta: dict) -> None:

@@ -1,8 +1,8 @@
 """The ``repro serve`` HTTP front-end: the stdlib's threaded HTTP server.
 
 The service speaks a versioned HTTP API.  Every route is mounted under
-``/v1/`` (``/v1/analyze``, ``/v1/batch``, ``/v1/lint``, ``/v1/healthz``,
-``/v1/metrics``); any other path answers the ``not_found`` envelope below.
+``/v1/`` (``/v1/analyze``, ``/v1/lint``, ``/v1/healthz``, ``/v1/metrics``);
+any other path answers the ``not_found`` envelope below.
 :class:`http.server.ThreadingHTTPServer` gives every connection its own
 daemon thread, which reads **keep-alive and pipelined** requests in order
 off the stdlib's buffered reader and makes the blocking call to the forked
@@ -13,11 +13,11 @@ scrapes.
 Three service-level-objective mechanisms wrap every analysis request:
 
 **Bounded admission with backpressure.**  At most ``pool.workers +
-backlog`` analysis requests (``/analyze`` + ``/batch``) are admitted at
-once — the pool's workers plus a bounded queue waiting for one.  A request
-beyond that is answered ``429 Too Many Requests`` with a ``Retry-After``
-hint immediately, instead of queueing without bound and letting latency
-grow until clients give up.
+backlog`` analysis requests (``/v1/analyze``) are admitted at once — the
+pool's workers plus a bounded queue waiting for one.  A request beyond
+that is answered ``429 Too Many Requests`` with a ``Retry-After`` hint
+immediately, instead of queueing without bound and letting latency grow
+until clients give up.
 
 **Per-request deadlines.**  An ``X-Repro-Deadline-Ms`` header (or a
 ``"deadline_ms"`` body field) bounds the request end to end — queue wait
@@ -50,20 +50,14 @@ framing cannot be parsed gets its envelope, then a closed connection.
 ``POST /v1/analyze``
     Body: a JSON object ``{"source": "...", "procedure": null,
     "cost_variable": "cost", "substitutions": {"n": 8}, "kind":
-    "analyze"}`` — everything but ``source`` optional — or the raw program
-    text itself (``Content-Type: text/plain``).  The response is the same
-    JSON record ``repro analyze --json`` prints
+    "analyze"}`` — everything but ``source`` optional; ``"name"``,
+    ``"params"`` and ``"suite"`` make a suite row sent as a body the task
+    ``repro bench`` runs, with the same cache key — or the raw program text
+    itself (``Content-Type: text/plain``).  The response is the same JSON
+    record ``repro analyze --json`` prints
     (:meth:`repro.engine.batch.BatchResult.to_dict`), with HTTP 200 even
     for ``error``/``timeout`` outcomes: the record *is* the result (unless
     a client deadline expired — that is the 504 above).
-``POST /v1/batch``
-    Body: a whole suite — either ``{"suite": "table2"}`` (optionally with
-    a boolean ``"full"``, ``"tool"``, ``"depth"``), resolved through the
-    benchmark registry of :mod:`repro.benchlib.suites`, or an inline task list
-    ``{"tasks": [...]}`` / a bare JSON list.  The response carries the
-    same ordered ``BatchResult`` records ``repro bench --json`` prints,
-    the batch totals, and a per-task incremental splice summary (see
-    :func:`run_batch`).  A ``"deadline_ms"`` bounds the whole batch.
 ``POST /v1/lint``
     Body: ``{"source": "...", "severity": "info", "disable": [...]}``
     (everything but ``source`` optional) or the raw program text.  The
@@ -95,9 +89,8 @@ import traceback
 from dataclasses import dataclass, field
 from email.message import Message
 from http import HTTPStatus
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
-from ..engine.batch import BatchResult, summarize_batch
 from ..engine.cache import ResultCache
 from ..engine.config import DEFAULT_SERVICE_PORT as DEFAULT_PORT
 from ..engine.tasks import AnalysisTask, registered_kinds
@@ -108,9 +101,7 @@ __all__ = [
     "ServiceMetrics",
     "percentile",
     "serve",
-    "run_batch",
     "task_from_request",
-    "tasks_from_batch_request",
     "API_VERSION",
     "DEFAULT_BACKLOG",
     "DEFAULT_PORT",
@@ -124,7 +115,7 @@ API_VERSION = "v1"
 #: service answers 429.
 DEFAULT_BACKLOG = 16
 
-#: Largest accepted request body (a whole inline task list fits easily).
+#: Largest accepted request body.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Longest accepted request line (the stdlib's limit on a header line).
@@ -143,8 +134,7 @@ def _integer_value(label: str, value: Any) -> int:
     Booleans and non-integral numbers are rejected rather than silently
     truncated (``2.7`` used to become ``2`` and ``true`` become ``1``);
     integral floats (``2.0``) and integer strings are accepted.  ``label``
-    names the field in the 400 error text (``substitution 'n'``,
-    ``"depth"``).
+    names the field in the 400 error text (``substitution 'n'``).
     """
     if isinstance(value, bool):
         raise ValueError(f"{label} must be an integer, not a boolean")
@@ -209,26 +199,29 @@ def _task_from_mapping(data: Mapping[str, Any]) -> AnalysisTask:
     )
 
 
-def _json_object(body: bytes) -> Any:
+def _json_object(body: bytes) -> Mapping[str, Any]:
     try:
         data = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ValueError(f"request body is not valid JSON: {error}") from None
-    if not isinstance(data, (dict, list)):
+    if not isinstance(data, dict):
         raise ValueError("request body must be a JSON object")
     return data
 
 
 def _deadline_ms_value(value: Any) -> float:
-    """Validate one deadline: a positive, finite number of milliseconds."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"the deadline must be a number of milliseconds, got {value!r}"
-            ) from None
-    value = float(value)
+    """Validate one deadline: a positive, finite number of milliseconds.
+
+    Booleans are rejected: ``float(True)`` would make ``true`` a 1 ms
+    deadline.
+    """
+    message = f"the deadline must be a number of milliseconds, got {value!r}"
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
     if not math.isfinite(value) or value <= 0:
         raise ValueError(
             f"the deadline must be a positive number of milliseconds, got {value!r}"
@@ -249,8 +242,6 @@ def lint_request(body: bytes, content_type: str) -> tuple[str, str, tuple[str, .
     if content_type.startswith("text/plain"):
         return body.decode("utf-8", "replace"), SEVERITIES[-1], ()
     data = _json_object(body)
-    if not isinstance(data, Mapping):
-        raise ValueError("request body must be a JSON object")
     source = data.get("source")
     if not isinstance(source, str) or not source.strip():
         raise ValueError('"source" must be a non-empty string of program text')
@@ -280,105 +271,10 @@ def task_from_request(
         data: Mapping[str, Any] = {"source": body.decode("utf-8", "replace")}
     else:
         data = _json_object(body)
-        if not isinstance(data, Mapping):
-            raise ValueError("request body must be a JSON object")
     deadline_ms = data.get("deadline_ms")
     if deadline_ms is not None:
         deadline_ms = _deadline_ms_value(deadline_ms)
     return _task_from_mapping(data), deadline_ms
-
-
-def tasks_from_batch_request(
-    body: bytes,
-) -> tuple[Optional[str], list[AnalysisTask], Optional[float]]:
-    """The ``(suite label, tasks, deadline_ms)`` of one ``POST /batch`` body.
-
-    Two shapes are accepted (see the module docstring): a suite reference
-    resolved through :func:`repro.engine.suites.suite_tasks` — the same
-    resolver ``repro bench`` uses, so the records come back identical — or
-    an inline task list.  Raises ``ValueError`` on malformed bodies.
-    """
-    data = _json_object(body)
-    if isinstance(data, list):
-        data = {"tasks": data}
-    deadline_ms = data.get("deadline_ms")
-    if deadline_ms is not None:
-        deadline_ms = _deadline_ms_value(deadline_ms)
-    suite = data.get("suite")
-    if suite is not None:
-        if not isinstance(suite, str):
-            raise ValueError('"suite" must be a suite name string')
-        tool = data.get("tool", "chora")
-        if not isinstance(tool, str):
-            raise ValueError('"tool" must be a string')
-        depth = data.get("depth")
-        if depth is not None:
-            depth = _integer_value('"depth"', depth)
-        full = data.get("full", False)
-        if not isinstance(full, bool):
-            raise ValueError('"full" must be true or false')
-        from ..engine.suites import suite_tasks
-
-        try:
-            tasks = suite_tasks(suite, full, tool, depth)
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else str(error)
-            raise ValueError(str(message)) from None
-        return suite, tasks, deadline_ms
-    items = data.get("tasks")
-    if not isinstance(items, list) or not items:
-        raise ValueError(
-            'batch body must be {"suite": NAME, ...}, {"tasks": [...]}'
-            " or a non-empty JSON list of task objects"
-        )
-    tasks = []
-    for index, item in enumerate(items):
-        if not isinstance(item, Mapping):
-            raise ValueError(f"task #{index} must be a JSON object")
-        try:
-            tasks.append(_task_from_mapping(item))
-        except ValueError as error:
-            raise ValueError(f"task #{index}: {error}") from None
-    return None, tasks, deadline_ms
-
-
-def run_batch(
-    pool: WorkerPool,
-    tasks: Sequence[AnalysisTask],
-    suite: Optional[str] = None,
-    progress: Optional[Callable[[BatchResult], None]] = None,
-    deadline: Optional[float] = None,
-) -> tuple[list[BatchResult], dict[str, Any]]:
-    """Fan a task batch over the warm pool and build the batch document.
-
-    This is the single suite-serving path: the ``POST /batch`` route and
-    ``repro bench --engine warm`` both run through it, so a served suite
-    returns exactly the records a local warm bench prints.  The document
-    adds a per-task ``incremental`` splice summary (the
-    :class:`~repro.core.incremental.IncrementalReport` shape per record).
-    ``deadline`` is an absolute ``time.monotonic()`` bound on the whole
-    batch (see :meth:`WorkerPool.run_with_meta`).
-    """
-    results, metas = pool.run_with_meta(tasks, progress=progress, deadline=deadline)
-    incremental = []
-    for task, result, meta in zip(tasks, results, metas):
-        report = meta.get("incremental") or {"analyzed": [], "reused": []}
-        incremental.append(
-            {
-                "name": task.name,
-                "cache_hit": result.cache_hit,
-                "analyzed": list(report.get("analyzed", ())),
-                "reused": list(report.get("reused", ())),
-            }
-        )
-    document = {
-        "suite": suite,
-        "engine": "warm",
-        "results": [result.to_dict() for result in results],
-        "incremental": incremental,
-        "totals": summarize_batch(results),
-    }
-    return results, document
 
 
 # ---------------------------------------------------------------------- #
@@ -646,7 +542,7 @@ class AnalysisServer(http.server.ThreadingHTTPServer):
     """The ``/v1`` HTTP front-end over a :class:`WorkerPool`.
 
     Each connection gets its own daemon thread, which makes the blocking
-    pool, batch or lint call itself.  The socket is bound in the
+    pool or lint call itself.  The socket is bound in the
     constructor (so ``port=0`` resolves before serving starts and a bind
     failure never leaks the caller's forked pool); :meth:`serve_forever`
     accepts connections until :meth:`shutdown`, which another thread calls
@@ -660,7 +556,6 @@ class AnalysisServer(http.server.ThreadingHTTPServer):
 
     ROUTES: dict[str, str] = {
         "analyze": "POST",
-        "batch": "POST",
         "lint": "POST",
         "healthz": "GET",
         "metrics": "GET",
@@ -800,7 +695,7 @@ class AnalysisServer(http.server.ThreadingHTTPServer):
         # The pool counts its wait for an idle worker against this budget.
         timeout = None if deadline_ms is None else deadline_ms / 1000.0
         with self._admission():
-            result, _ = self.pool.submit_with_meta(task, timeout=timeout)
+            result = self.pool.submit(task, timeout=timeout)
         if (
             deadline_at is not None
             and result.outcome == "timeout"
@@ -822,30 +717,6 @@ class AnalysisServer(http.server.ThreadingHTTPServer):
                 detail={"result": result.to_dict()},
             )
         return result.to_dict()
-
-    def _route_batch(self, headers: Message, body: bytes) -> dict[str, Any]:
-        try:
-            suite, tasks, deadline_ms = tasks_from_batch_request(body)
-        except ValueError as error:
-            raise _HttpError(400, "bad_request", str(error)) from None
-        deadline_ms, deadline_at = self._deadline_from(headers, deadline_ms)
-        with self._admission():
-            _, document = run_batch(self.pool, tasks, suite=suite, deadline=deadline_at)
-        totals = document["totals"]
-        if (
-            deadline_at is not None
-            and totals.get("timeout")
-            and time.monotonic() >= deadline_at
-        ):
-            raise _HttpError(
-                504,
-                "deadline_exceeded",
-                f"the batch exceeded its {deadline_ms:g}ms deadline"
-                f" ({totals.get('timeout')} of {totals.get('total')} tasks"
-                " timed out)",
-                detail={"deadline_ms": deadline_ms, "totals": totals},
-            )
-        return document
 
     def _route_lint(self, headers: Message, body: bytes) -> dict[str, Any]:
         """Lint one program; always 200 with the diagnostics document.

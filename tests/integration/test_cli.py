@@ -134,6 +134,26 @@ class TestFastCommands:
         assert excinfo.value.code == 2
         assert "timeout must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--suite", "table2", "--jobs", "0"], "--jobs/-j: must be >= 1"),
+            (["bench", "--suite", "table2", "--jobs", "-3"], "must be >= 1, got -3"),
+            (["fuzz", "--jobs", "0"], "--jobs/-j: must be >= 1"),
+            (["serve", "--workers", "0"], "--workers: must be >= 1"),
+            (["serve", "--backlog", "-4"], "--backlog: must be >= 0"),
+        ],
+        ids=["bench-jobs-0", "bench-jobs-neg", "fuzz-jobs-0", "serve-workers-0",
+             "serve-backlog-neg"],
+    )
+    def test_counts_below_their_minimum_exit_2(self, capsys, argv, message):
+        """The engine and the pool would clamp such a count, and the CLI
+        would report a value other than the one that ran."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_module_entry_point(self, tmp_path):
         src = Path(__file__).resolve().parents[2] / "src"
         environment = dict(os.environ)
@@ -188,7 +208,7 @@ class TestBenchTool:
         assert exit_info.value.code == 2
         assert "--shard" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["profile", "loadtest"])
+    @pytest.mark.parametrize("command", ["profile", "loadtest", "batch"])
     def test_deleted_timing_commands_are_rejected(self, capsys, command):
         with pytest.raises(SystemExit) as exit_info:
             main([command])

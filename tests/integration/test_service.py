@@ -1,14 +1,14 @@
 """The warm analysis service: worker pool, HTTP endpoint, CLI integration.
 
 Covers the tentpole acceptance properties: warm workers answer repeated
-requests from spliced summaries (measurably below a cold run), results
-agree with the cold engine, failures replace workers without sinking the
-service, ``POST /v1/batch`` serves whole suites bit-identically to
-``repro bench``, warm state never reaches the disk,
-``repro bench --engine warm`` / ``repro batch`` round-trip through the
-CLI, and ``repro serve`` leaves no worker behind.  The threaded
-front-end's SLO machinery has its own classes below: the ``/v1`` route
-aliasing and error envelope (``TestV1Api``), bounded admission
+requests from spliced summaries (measurably below a cold run), every fast
+suite row gives a warm worker the cold engine's result, first run and
+spliced repeat alike, failures replace workers without sinking the
+service, a suite row sent to ``POST /v1/analyze`` is the task
+``repro bench`` runs and is answered with the record it prints, warm state
+never reaches the disk, and ``repro serve`` leaves no worker behind.  The
+threaded front-end's SLO machinery has its own classes below: the ``/v1``
+route aliasing and error envelope (``TestV1Api``), bounded admission
 (``TestBackpressure``), per-request deadlines (``TestDeadlines``), the
 ``/v1/metrics`` document under concurrent keep-alive load
 (``TestMetrics``), and raw-socket framing and shutdown
@@ -37,14 +37,8 @@ from repro.core import ChoraOptions
 from repro.engine import AnalysisTask, BatchEngine, ResultCache, suite_tasks
 from repro.engine.cache import cache_key
 from repro.engine.tasks import register_kind
-from repro.service import (
-    AnalysisServer,
-    ServiceClient,
-    ServiceHTTPError,
-    WorkerPool,
-    serve,
-)
-from repro.service.server import tasks_from_batch_request
+from repro.service import AnalysisServer, WorkerPool, serve
+from repro.service.server import task_from_request
 
 TRIVIAL = "int main(int n) { assume(n >= 0); int r = n + 1; assert(r >= 1); return r; }"
 
@@ -100,14 +94,93 @@ def run_cli(capsys, *argv: str):
     return code, captured.out, captured.err
 
 
+def _call(address, route, document=None, deadline_ms=None):
+    """One request to ``/v1/<route>`` (POST with a document, else GET):
+    ``(status, headers, JSON document)``, for error answers too."""
+    host, port = address
+    data = None if document is None else json.dumps(document).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+    if deadline_ms is not None:
+        headers["X-Repro-Deadline-Ms"] = str(deadline_ms)
+    request = urllib.request.Request(
+        f"http://{host}:{port}/v1/{route}", data=data, headers=headers
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=120) as response:
+            return response.status, response.headers, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, error.headers, json.load(error)
+
+
+def _metrics(address) -> dict:
+    status, _, document = _call(address, "metrics")
+    assert status == 200
+    return document
+
+
+def _keep_alive_call(connection, route, document=None):
+    """Like :func:`_call`, on one open keep-alive ``HTTPConnection``."""
+    body = None if document is None else json.dumps(document).encode("utf-8")
+    connection.request(
+        "GET" if body is None else "POST",
+        f"/v1/{route}",
+        body=body,
+        headers={"Content-Type": "application/json"},
+    )
+    response = connection.getresponse()
+    return response.status, response.headers, json.loads(response.read())
+
+
+FAST_ROWS = suite_tasks("all", full=False)
+FAST_IDS = [f"{task.suite}/{task.name}" for task in FAST_ROWS]
+
+
+@pytest.fixture(scope="module")
+def warm_pool():
+    """One warm worker for every fast row: each row runs on the memo tables
+    and summary store that the rows before it filled."""
+    with WorkerPool(workers=1) as pool:
+        yield pool
+
+
+@pytest.fixture(scope="module")
+def warm_server(warm_pool):
+    """The ``/v1`` front-end over the fast rows' warm worker."""
+    server, thread = _start_server(warm_pool)
+    yield server
+    _stop_server(server, thread)
+
+
+@pytest.fixture(scope="module")
+def cold_fast_rows():
+    return BatchEngine(jobs=2).run(FAST_ROWS)
+
+
 class TestWorkerPool:
-    def test_results_match_the_cold_engine(self):
-        task = AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")
-        cold = BatchEngine().run([task])[0]
-        with WorkerPool(workers=1) as pool:
-            warm = pool.submit(task)
-        assert warm.outcome == "ok"
-        assert warm.proved == cold.proved
+    @pytest.mark.parametrize("index", range(len(FAST_ROWS)), ids=FAST_IDS)
+    def test_results_match_the_cold_engine(self, warm_pool, cold_fast_rows, index):
+        warm = warm_pool.submit(FAST_ROWS[index])
+        cold = cold_fast_rows[index]
+        assert warm.outcome == cold.outcome == "ok"
+        assert (warm.proved, warm.bound) == (cold.proved, cold.bound)
+        assert dict(warm.payload) == dict(cold.payload)
+
+    @pytest.mark.parametrize("index", range(len(FAST_ROWS)), ids=FAST_IDS)
+    def test_repeated_row_is_spliced_to_the_cold_result(
+        self, warm_pool, cold_fast_rows, index
+    ):
+        """A row the worker has run before is answered from its summary
+        store: every procedure spliced, none analysed again."""
+        warm_pool.submit(FAST_ROWS[index])
+        before = warm_pool.stats_dict()
+        warm = warm_pool.submit(FAST_ROWS[index])
+        after = warm_pool.stats_dict()
+        assert after["procedures_analyzed"] == before["procedures_analyzed"]
+        assert after["procedures_reused"] > before["procedures_reused"]
+        cold = cold_fast_rows[index]
+        assert warm.outcome == "ok" and not warm.cache_hit
+        assert (warm.proved, warm.bound) == (cold.proved, cold.bound)
         assert dict(warm.payload) == dict(cold.payload)
 
     def test_repeated_requests_splice_and_get_faster(self):
@@ -223,15 +296,6 @@ class TestWorkerPool:
         assert written
         for path in written:
             assert path.parent == tmp_path and path.suffix == ".json", path
-
-    def test_run_preserves_task_order(self):
-        tasks = [
-            AnalysisTask(name=f"t{i}", source=TRIVIAL, kind="assertion")
-            for i in range(5)
-        ]
-        with WorkerPool(workers=2) as pool:
-            results = pool.run(tasks)
-        assert [result.name for result in results] == [task.name for task in tasks]
 
     def test_unexpected_submit_error_never_leaks_the_worker_slot(self, monkeypatch):
         """Regression: only Timeout/ConnectionError used to re-account the
@@ -406,116 +470,9 @@ class TestAnalysisServer:
         assert "closed" in envelope["error"]["message"]
 
 
-class TestBatchRoute:
-    @pytest.fixture()
-    def server(self):
-        pool = WorkerPool(workers=2)
-        server = AnalysisServer(pool, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.close()
-        thread.join(5)
-
-    def _post_batch(self, server, document):
-        host, port = server.address
-        request = urllib.request.Request(
-            f"http://{host}:{port}/v1/batch",
-            data=json.dumps(document).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=600) as response:
-            return json.loads(response.read())
-
-    @staticmethod
-    def _semantic(record):
-        """Everything of a result record except the run-dependent fields."""
-        return {
-            key: value
-            for key, value in record.items()
-            if key not in ("wall_time", "cache_hit")
-        }
-
-    def test_suite_by_name_is_bit_identical_to_repro_bench(self, server, capsys):
-        document = self._post_batch(server, {"suite": "table2"})
-        assert document["suite"] == "table2"
-        assert document["totals"]["ok"] == document["totals"]["total"] == 3
-        code, out, _ = run_cli(
-            capsys, "bench", "--suite", "table2", "--no-cache", "--json"
-        )
-        assert code == 0
-        bench = json.loads(out)
-        assert [self._semantic(r) for r in document["results"]] == [
-            self._semantic(r) for r in bench["results"]
-        ]
-
-    def test_per_task_incremental_splice_summary(self, server):
-        # Two copies of one program: the second splices what the first built
-        # (both land on the same worker only with workers=1, so assert on
-        # the union across the batch instead of a specific record).
-        tasks = [
-            {"name": "first", "source": CHAIN, "kind": "assertion"},
-            {"name": "second", "source": CHAIN, "kind": "analyze"},
-        ]
-        document = self._post_batch(server, {"tasks": tasks})
-        assert [entry["name"] for entry in document["incremental"]] == [
-            "first",
-            "second",
-        ]
-        for entry in document["incremental"]:
-            assert set(entry) == {"name", "cache_hit", "analyzed", "reused"}
-        touched = set()
-        for entry in document["incremental"]:
-            touched.update(entry["analyzed"])
-            touched.update(entry["reused"])
-        assert touched == {"leaf", "mid", "main"}
-
-    def test_bare_json_list_is_an_inline_task_list(self, server):
-        document = self._post_batch(
-            server, [{"source": TRIVIAL, "kind": "assertion", "name": "one"}]
-        )
-        assert document["suite"] is None
-        assert document["totals"] == {
-            "total": 1,
-            "ok": 1,
-            "proved": 1,
-            "timeout": 0,
-            "error": 0,
-            "crash": 0,
-            "cache_hits": 0,
-            "wall_time": document["totals"]["wall_time"],
-        }
-
-    def test_malformed_batch_bodies_get_400(self, server):
-        host, port = server.address
-        bodies = [
-            {"suite": "nope"},
-            {"suite": 3},
-            {"tasks": []},
-            {"tasks": [{"source": ""}]},
-            {"tasks": "not-a-list"},
-            {"suite": "table2", "depth": 3},  # --depth needs the unroller
-            {"suite": "table2", "depth": 2.5, "tool": "unrolling"},
-            {"tasks": [{"source": TRIVIAL, "kind": "nope"}]},
-            {"tasks": [{"source": TRIVIAL, "procedure": 5}]},
-            {"tasks": [{"source": TRIVIAL, "cost_variable": 5}]},
-            {"suite": "fig3", "full": "false"},  # a string is not a boolean
-        ]
-        for body in bodies:
-            request = urllib.request.Request(
-                f"http://{host}:{port}/v1/batch",
-                data=json.dumps(body).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as error:
-                urllib.request.urlopen(request, timeout=30)
-            assert error.value.code == 400, body
-
-
-def _inline(task: AnalysisTask) -> dict:
-    """``task`` as a client writes it in an inline ``POST /v1/batch`` list."""
-    return {
+def _body(task: AnalysisTask) -> bytes:
+    """``task`` as a client writes it in a ``POST /v1/analyze`` body."""
+    document = {
         "name": task.name,
         "source": task.source,
         "kind": task.kind,
@@ -525,6 +482,7 @@ def _inline(task: AnalysisTask) -> dict:
         "params": dict(task.params),
         "suite": task.suite,
     }
+    return json.dumps(document).encode("utf-8")
 
 
 ALL_ROWS = suite_tasks("all", full=True)
@@ -542,38 +500,45 @@ SUITE_TOOLS = [
 ]
 
 
-class TestBatchBodies:
-    """``POST /v1/batch`` bodies parse to the tasks ``repro bench`` runs, so
-    a served batch and a local bench share result-cache entries."""
+class TestAnalyzeBodies:
+    """A suite row sent as a ``POST /v1/analyze`` body parses to the task
+    ``repro bench`` runs, so the service and a local bench share
+    result-cache entries, and the service answers it with the record
+    ``repro bench --json`` prints."""
 
     @pytest.mark.parametrize(
         "task", ALL_ROWS, ids=[f"{task.suite}/{task.name}" for task in ALL_ROWS]
     )
-    def test_inline_row_is_the_suite_task(self, task):
-        body = json.dumps({"tasks": [_inline(task)]}).encode("utf-8")
-        label, tasks, deadline_ms = tasks_from_batch_request(body)
-        assert (label, deadline_ms) == (None, None)
-        assert tasks == [task]
-        assert cache_key(tasks[0], ChoraOptions()) == cache_key(task, ChoraOptions())
+    def test_row_body_is_the_suite_task(self, task):
+        parsed, deadline_ms = task_from_request(_body(task), "application/json")
+        assert deadline_ms is None
+        assert parsed == task
+        assert cache_key(parsed, ChoraOptions()) == cache_key(task, ChoraOptions())
+
+    @pytest.mark.parametrize("index", range(len(FAST_ROWS)), ids=FAST_IDS)
+    def test_served_row_is_the_bench_record(self, warm_server, cold_fast_rows, index):
+        host, port = warm_server.address
+        request = urllib.request.Request(
+            f"http://{host}:{port}/v1/analyze",
+            data=_body(FAST_ROWS[index]),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=120) as response:
+            served = json.loads(response.read())
+        printed = json.loads(json.dumps(cold_fast_rows[index].to_dict()))
+        del served["wall_time"], printed["wall_time"]
+        assert served == printed
 
     @pytest.mark.parametrize(
         "suite, tool, depth",
         SUITE_TOOLS,
         ids=[f"{suite}-{tool}" for suite, tool, _ in SUITE_TOOLS],
     )
-    def test_suite_reference_and_inline_list_agree(self, suite, tool, depth):
-        reference = {"suite": suite, "tool": tool, "full": True}
-        if depth is not None:
-            reference["depth"] = depth
-        label, by_reference, _ = tasks_from_batch_request(
-            json.dumps(reference).encode("utf-8")
-        )
-        assert label == suite
-        assert by_reference == suite_tasks(suite, True, tool, depth)
-        inline = [_inline(task) for task in by_reference]
-        _, by_list, _ = tasks_from_batch_request(json.dumps(inline).encode("utf-8"))
-        assert by_list == by_reference
-        assert len({cache_key(task, ChoraOptions()) for task in by_list}) == len(by_list)
+    def test_suite_rows_round_trip_with_distinct_cache_keys(self, suite, tool, depth):
+        tasks = suite_tasks(suite, True, tool, depth)
+        parsed = [task_from_request(_body(task), "application/json")[0] for task in tasks]
+        assert parsed == tasks
+        assert len({cache_key(task, ChoraOptions()) for task in tasks}) == len(tasks)
 
 
 def _start_server(pool, **kwargs):
@@ -595,10 +560,6 @@ class TestV1Api:
         server, thread = _start_server(WorkerPool(workers=1))
         yield server
         _stop_server(server, thread)
-
-    def _url(self, server):
-        host, port = server.address
-        return f"http://{host}:{port}"
 
     def test_v1_routes_answer_without_deprecation(self, server):
         host, port = server.address
@@ -669,19 +630,10 @@ class TestV1Api:
         # The healthz body precedes the metrics body.
         assert text.index('"status"') < text.index('"uptime_seconds"')
 
-    def test_client_prefers_v1(self, server):
-        with ServiceClient(self._url(server)) as client:
-            with pytest.raises(ServiceHTTPError) as error:
-                client.request("GET", "nope")
-            assert error.value.code == "not_found"
-            # One attempt under /v1: no second, unversioned request.
-            assert client.metrics().document["responses"]["4xx"] == 1
-
-    def test_batch_via_client_matches_direct_post(self, server):
-        tasks = [{"name": "toy", "source": TRIVIAL, "kind": "assertion"}]
-        with ServiceClient(self._url(server)) as client:
-            document = client.batch({"tasks": tasks}).document
-        assert document["totals"]["ok"] == 1
+    def test_deleted_batch_route_is_not_found(self, server):
+        status, _, envelope = _call(server.address, "batch", {"suite": "table2"})
+        assert status == 404
+        assert envelope["error"]["code"] == "not_found"
 
 
 class TestBackpressure:
@@ -690,43 +642,41 @@ class TestBackpressure:
         never an unbounded hang — and the slot is reclaimed afterwards."""
         pool = WorkerPool(workers=1)
         server, thread = _start_server(pool, backlog=0)
-        host, port = server.address
-        url = f"http://{host}:{port}"
+        address = server.address
         try:
             assert server.capacity == 1
             occupied = threading.Thread(
-                target=lambda: ServiceClient(url).analyze(
+                target=lambda: _call(
+                    address,
+                    "analyze",
                     {
                         "source": "ignored",
                         "kind": "service-sleep",
                         "params": {"seconds": 3},
-                    }
+                    },
                 ),
                 daemon=True,
             )
             occupied.start()
             # Wait until the sleeper is actually admitted.
-            with ServiceClient(url) as client:
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    metrics = client.metrics().document
-                    if metrics["queue"]["in_flight"] == 1:
-                        break
-                    time.sleep(0.02)
-                else:
-                    pytest.fail("the sleeper request was never admitted")
-                with pytest.raises(ServiceHTTPError) as error:
-                    client.analyze({"source": TRIVIAL})
-                assert error.value.status == 429
-                assert error.value.code == "queue_full"
-                assert error.value.retry_after is not None
-                assert error.value.retry_after >= 1
-                assert error.value.detail["capacity"] == 1
-                occupied.join(30)
-                # The slot is reclaimed: the same request is served now.
-                record = client.analyze({"source": TRIVIAL}).document
-                assert record["outcome"] == "ok"
-                assert client.metrics().document["rejected_429"] == 1
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                if _metrics(address)["queue"]["in_flight"] == 1:
+                    break
+                time.sleep(0.02)
+            else:
+                pytest.fail("the sleeper request was never admitted")
+            status, headers, envelope = _call(address, "analyze", {"source": TRIVIAL})
+            assert status == 429
+            assert envelope["error"]["code"] == "queue_full"
+            assert int(headers["Retry-After"]) >= 1
+            assert envelope["error"]["detail"]["capacity"] == 1
+            occupied.join(30)
+            assert not occupied.is_alive()
+            # The slot is reclaimed: the same request is served now.
+            status, _, record = _call(address, "analyze", {"source": TRIVIAL})
+            assert status == 200 and record["outcome"] == "ok"
+            assert _metrics(address)["rejected_429"] == 1
         finally:
             _stop_server(server, thread)
 
@@ -736,33 +686,33 @@ class TestBackpressure:
         overloaded."""
         pool = WorkerPool(workers=1)
         server, thread = _start_server(pool, backlog=0)
-        host, port = server.address
-        url = f"http://{host}:{port}"
+        address = server.address
         try:
             occupied = threading.Thread(
-                target=lambda: ServiceClient(url).analyze(
+                target=lambda: _call(
+                    address,
+                    "analyze",
                     {
                         "source": "ignored",
                         "kind": "service-sleep",
                         "params": {"seconds": 3},
-                    }
+                    },
                 ),
                 daemon=True,
             )
             occupied.start()
-            with ServiceClient(url) as client:
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    if client.metrics().document["queue"]["in_flight"] == 1:
-                        break
-                    time.sleep(0.02)
-                assert client.healthz().document["status"] == "ok"
-                assert client.metrics().document["pool"]["workers"] == 1
-                # Lint takes no admission slot, so it must not wait for the
-                # analysis holding the only one.
-                linted = client.request("POST", "lint", {"source": TRIVIAL})
-                assert linted.document["ok"] is True
-                assert client.metrics().document["queue"]["in_flight"] == 1
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                if _metrics(address)["queue"]["in_flight"] == 1:
+                    break
+                time.sleep(0.02)
+            assert _call(address, "healthz")[2]["status"] == "ok"
+            assert _metrics(address)["pool"]["workers"] == 1
+            # Lint takes no admission slot, so it must not wait for the
+            # analysis holding the only one.
+            status, _, linted = _call(address, "lint", {"source": TRIVIAL})
+            assert status == 200 and linted["ok"] is True
+            assert _metrics(address)["queue"]["in_flight"] == 1
             occupied.join(30)
         finally:
             _stop_server(server, thread)
@@ -772,30 +722,29 @@ class TestDeadlines:
     def test_expired_deadline_is_504_and_the_slot_is_reclaimed(self):
         pool = WorkerPool(workers=1)
         server, thread = _start_server(pool)
-        host, port = server.address
-        url = f"http://{host}:{port}"
+        address = server.address
         try:
-            with ServiceClient(url) as client:
-                with pytest.raises(ServiceHTTPError) as error:
-                    client.analyze(
-                        {
-                            "source": "ignored",
-                            "kind": "service-sleep",
-                            "params": {"seconds": 60},
-                        },
-                        deadline_ms=300,
-                    )
-                assert error.value.status == 504
-                assert error.value.code == "deadline_exceeded"
-                assert error.value.detail["deadline_ms"] == 300
-                assert error.value.detail["result"]["outcome"] == "timeout"
-                # The hung worker was killed and replaced, and the
-                # admission slot released: the service still serves.
-                record = client.analyze({"source": TRIVIAL}).document
-                assert record["outcome"] == "ok"
-                metrics = client.metrics().document
-                assert metrics["deadline_504"] == 1
-                assert metrics["queue"]["in_flight"] == 0
+            status, _, envelope = _call(
+                address,
+                "analyze",
+                {
+                    "source": "ignored",
+                    "kind": "service-sleep",
+                    "params": {"seconds": 60},
+                },
+                deadline_ms=300,
+            )
+            assert status == 504
+            assert envelope["error"]["code"] == "deadline_exceeded"
+            assert envelope["error"]["detail"]["deadline_ms"] == 300
+            assert envelope["error"]["detail"]["result"]["outcome"] == "timeout"
+            # The hung worker was killed and replaced, and the admission
+            # slot released: the service still serves.
+            status, _, record = _call(address, "analyze", {"source": TRIVIAL})
+            assert status == 200 and record["outcome"] == "ok"
+            metrics = _metrics(address)
+            assert metrics["deadline_504"] == 1
+            assert metrics["queue"]["in_flight"] == 0
             assert pool.stats_dict()["restarts"] == 1
         finally:
             _stop_server(server, thread)
@@ -830,23 +779,25 @@ class TestDeadlines:
         is a 200 timeout record (the service kept its own SLO), not 504."""
         pool = WorkerPool(workers=1, timeout=0.3)
         server, thread = _start_server(pool)
-        host, port = server.address
         try:
-            with ServiceClient(f"http://{host}:{port}") as client:
-                record = client.analyze(
-                    {
-                        "source": "ignored",
-                        "kind": "service-sleep",
-                        "params": {"seconds": 60},
-                    },
-                    deadline_ms=60_000,
-                ).document
+            status, _, record = _call(
+                server.address,
+                "analyze",
+                {
+                    "source": "ignored",
+                    "kind": "service-sleep",
+                    "params": {"seconds": 60},
+                },
+                deadline_ms=60_000,
+            )
+            assert status == 200
             assert record["outcome"] == "timeout"
             assert "0.3" in record["detail"]
         finally:
             _stop_server(server, thread)
 
     def test_malformed_deadlines_are_400(self):
+        """Booleans are no deadline: ``true`` used to become 1 ms."""
         pool = WorkerPool(workers=1)
         server, thread = _start_server(pool)
         host, port = server.address
@@ -864,48 +815,30 @@ class TestDeadlines:
                     urllib.request.urlopen(request, timeout=30)
                 assert error.value.code == 400, value
                 assert json.load(error.value)["error"]["code"] == "bad_request"
+            for value in (True, False, "nope"):
+                status, _, envelope = _call(
+                    server.address,
+                    "analyze",
+                    {"source": TRIVIAL, "deadline_ms": value},
+                )
+                assert status == 400, value
+                assert envelope["error"]["code"] == "bad_request"
         finally:
             _stop_server(server, thread)
 
-    def test_batch_deadline_bounds_the_whole_batch(self):
-        pool = WorkerPool(workers=1)
-        server, thread = _start_server(pool)
-        host, port = server.address
-        try:
-            with ServiceClient(f"http://{host}:{port}") as client:
-                with pytest.raises(ServiceHTTPError) as error:
-                    client.batch(
-                        {
-                            "tasks": [
-                                {
-                                    "name": f"sleep{i}",
-                                    "source": "ignored",
-                                    "kind": "service-sleep",
-                                    "params": {"seconds": 60},
-                                }
-                                for i in range(2)
-                            ]
-                        },
-                        deadline_ms=500,
-                    )
-                assert error.value.status == 504
-                assert error.value.code == "deadline_exceeded"
-                assert error.value.detail["totals"]["timeout"] >= 1
-        finally:
-            _stop_server(server, thread)
-
-    @pytest.mark.parametrize("route", ["analyze", "batch"])
-    def test_waiting_for_a_worker_counts_against_the_deadline(self, route):
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_waiting_for_a_worker_counts_against_the_deadline(self, where):
         """The deadline anchors at admission: a request queued behind a
         busy worker times out when its budget runs out, without taking
         (and then killing) the worker."""
         pool = WorkerPool(workers=1)
         server, thread = _start_server(pool)
-        host, port = server.address
-        url = f"http://{host}:{port}"
+        address = server.address
         holder = threading.Thread(
-            target=lambda: ServiceClient(url).analyze(
-                {"source": "ignored", "kind": "service-sleep", "params": {"seconds": 2}}
+            target=lambda: _call(
+                address,
+                "analyze",
+                {"source": "ignored", "kind": "service-sleep", "params": {"seconds": 2}},
             ),
             daemon=True,
         )
@@ -917,20 +850,19 @@ class TestDeadlines:
         }
         try:
             holder.start()
-            with ServiceClient(url) as client:
-                deadline = time.monotonic() + 10
-                while client.metrics().document["workers"]["busy"] != 1:
-                    assert time.monotonic() < deadline, "the holder never started"
-                    time.sleep(0.02)
-                started = time.monotonic()
-                with pytest.raises(ServiceHTTPError) as error:
-                    if route == "analyze":
-                        client.analyze(task, deadline_ms=1000)
-                    else:
-                        client.batch({"tasks": [task]}, deadline_ms=1000)
-                elapsed = time.monotonic() - started
-            assert error.value.status == 504
-            assert error.value.code == "deadline_exceeded"
+            deadline = time.monotonic() + 10
+            while _metrics(address)["workers"]["busy"] != 1:
+                assert time.monotonic() < deadline, "the holder never started"
+                time.sleep(0.02)
+            if where == "body":
+                task, header_ms = {**task, "deadline_ms": 1000}, None
+            else:
+                header_ms = 1000
+            started = time.monotonic()
+            status, _, envelope = _call(address, "analyze", task, deadline_ms=header_ms)
+            elapsed = time.monotonic() - started
+            assert status == 504
+            assert envelope["error"]["code"] == "deadline_exceeded"
             assert elapsed < 1.5
             holder.join(30)
             assert pool.stats_dict()["restarts"] == 0
@@ -942,17 +874,19 @@ class TestMetrics:
     def test_percentiles_under_concurrent_keep_alive_clients(self):
         pool = WorkerPool(workers=2)
         server, thread = _start_server(pool)
-        host, port = server.address
-        url = f"http://{host}:{port}"
+        address = server.address
         requests_per_client, clients = 4, 3
         try:
             def hammer():
-                with ServiceClient(url) as client:
+                connection = http.client.HTTPConnection(*address, timeout=120)
+                try:
                     for _ in range(requests_per_client):
-                        assert (
-                            client.analyze({"source": TRIVIAL}).document["outcome"]
-                            == "ok"
+                        status, _, record = _keep_alive_call(
+                            connection, "analyze", {"source": TRIVIAL}
                         )
+                        assert status == 200 and record["outcome"] == "ok"
+                finally:
+                    connection.close()
 
             threads = [
                 threading.Thread(target=hammer, daemon=True) for _ in range(clients)
@@ -961,8 +895,8 @@ class TestMetrics:
                 worker.start()
             for worker in threads:
                 worker.join(120)
-            with ServiceClient(url) as client:
-                metrics = client.metrics().document
+            assert not any(worker.is_alive() for worker in threads)
+            metrics = _metrics(address)
             analyze = metrics["routes"]["analyze"]
             total = requests_per_client * clients
             assert analyze["count"] == total
@@ -983,7 +917,7 @@ class TestMetrics:
         short switch interval, a lost update would show in the totals."""
         pool = WorkerPool(workers=2)
         server, thread = _start_server(pool)
-        host, port = server.address
+        address = server.address
         clients, rounds = 8, 15
         sleep0 = {"source": "ignored", "kind": "service-sleep", "params": {"seconds": 0}}
         ids: list[str] = []
@@ -991,10 +925,17 @@ class TestMetrics:
         sys.setswitchinterval(1e-5)
         try:
             def hammer():
-                with ServiceClient(f"http://{host}:{port}") as client:
+                connection = http.client.HTTPConnection(*address, timeout=120)
+                try:
                     for _ in range(rounds):
-                        ids.append(client.healthz().request_id)
-                        ids.append(client.analyze(sleep0).request_id)
+                        for route, document in (("healthz", None), ("analyze", sleep0)):
+                            status, headers, _ = _keep_alive_call(
+                                connection, route, document
+                            )
+                            assert status == 200
+                            ids.append(headers["X-Request-Id"])
+                finally:
+                    connection.close()
 
             threads = [threading.Thread(target=hammer) for _ in range(clients)]
             for worker in threads:
@@ -1005,8 +946,7 @@ class TestMetrics:
         finally:
             sys.setswitchinterval(interval)
         try:
-            with ServiceClient(f"http://{host}:{port}") as client:
-                metrics = client.metrics().document
+            metrics = _metrics(address)
             total = clients * rounds
             assert len(ids) == len(set(ids)) == 2 * total
             assert metrics["routes"]["healthz"]["count"] == total
@@ -1023,9 +963,7 @@ class TestMetrics:
         try:
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(f"http://{host}:{port}/v1/nope", timeout=30)
-            with ServiceClient(f"http://{host}:{port}") as client:
-                metrics = client.metrics().document
-            assert metrics["responses"]["4xx"] >= 1
+            assert _metrics(server.address)["responses"]["4xx"] >= 1
         finally:
             _stop_server(server, thread)
 
@@ -1129,11 +1067,9 @@ class TestHttpFraming:
     @pytest.mark.parametrize("case", sorted(_FRAMING_ERRORS))
     def test_framing_error_has_a_request_id_and_is_counted(self, server, case):
         data, _ = _FRAMING_ERRORS[case]
-        host, port = server.address
-        with ServiceClient(f"http://{host}:{port}") as client:
-            before = client.metrics().document["responses"]
-            ((status, headers, body),) = _responses(_exchange(server.address, data))
-            after = client.metrics().document["responses"]
+        before = _metrics(server.address)["responses"]
+        ((status, headers, body),) = _responses(_exchange(server.address, data))
+        after = _metrics(server.address)["responses"]
         assert headers.get("x-request-id")
         assert json.loads(body)["request_id"] == headers["x-request-id"]
         assert 400 <= status < 500
@@ -1275,6 +1211,7 @@ class TestServeBanner:
         assert routes == [
             f"{method} {name}" for name, method in AnalysisServer.ROUTES.items()
         ]
+        assert routes == ["POST analyze", "POST lint", "GET healthz", "GET metrics"]
 
     def test_banner_is_written_once_sigterm_is_handled(self, monkeypatch):
         """A caller that signals as soon as it reads the banner must reach
@@ -1378,168 +1315,3 @@ class TestServeOrphans:
                     except OSError:
                         pass
             process.stdout.close()
-
-
-class TestBatchCli:
-    @pytest.fixture()
-    def server(self):
-        pool = WorkerPool(workers=2)
-        server = AnalysisServer(pool, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.close()
-        thread.join(5)
-
-    def _url(self, server):
-        host, port = server.address
-        return f"http://{host}:{port}"
-
-    def test_remote_suite_matches_local_bench_output(self, server, capsys):
-        code, out, _ = run_cli(
-            capsys, "batch", "--url", self._url(server), "--suite", "table2", "--json"
-        )
-        assert code == 0
-        remote = json.loads(out)
-        assert remote["suite"] == "table2"
-        assert remote["totals"]["ok"] == remote["totals"]["total"] == 3
-        code, out, _ = run_cli(
-            capsys, "bench", "--suite", "table2", "--no-cache", "--json"
-        )
-        assert code == 0
-        local = json.loads(out)
-        semantic = lambda r: {  # noqa: E731
-            k: v for k, v in r.items() if k not in ("wall_time", "cache_hit")
-        }
-        assert [semantic(r) for r in remote["results"]] == [
-            semantic(r) for r in local["results"]
-        ]
-
-    def test_inline_task_file(self, server, capsys, tmp_path):
-        tasks = tmp_path / "tasks.json"
-        tasks.write_text(
-            json.dumps([{"name": "toy", "source": TRIVIAL, "kind": "assertion"}]),
-            encoding="utf-8",
-        )
-        code, out, _ = run_cli(
-            capsys, "batch", "--url", self._url(server), "--tasks", str(tasks)
-        )
-        assert code == 0
-        assert "toy" in out and "1/1 ok" in out
-
-    def test_suite_and_tasks_are_mutually_exclusive(self, server, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "batch", "--url", self._url(server))
-        assert code == 2 and "exactly one" in err
-
-    def test_suite_options_are_rejected_with_inline_tasks(
-        self, server, capsys, tmp_path
-    ):
-        """Regression: --tool/--depth/--full with --tasks used to be
-        silently ignored, mislabelling what actually ran."""
-        tasks = tmp_path / "tasks.json"
-        tasks.write_text(
-            json.dumps([{"name": "toy", "source": TRIVIAL, "kind": "assertion"}]),
-            encoding="utf-8",
-        )
-        for extra in (["--tool", "unrolling"], ["--depth", "8"], ["--full"]):
-            code, _, err = run_cli(
-                capsys,
-                "batch", "--url", self._url(server), "--tasks", str(tasks), *extra,
-            )
-            assert code == 2, extra
-            assert "--suite" in err
-
-    def test_unreachable_service_is_a_clean_error(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "batch",
-            "--url",
-            "http://127.0.0.1:1",
-            "--suite",
-            "table2",
-            "--http-timeout",
-            "2",
-        )
-        assert code == 2
-        assert "cannot reach" in err
-
-    def test_service_side_errors_are_reported(self, server, capsys, tmp_path):
-        tasks = tmp_path / "tasks.json"
-        tasks.write_text(json.dumps([{"source": 5}]), encoding="utf-8")
-        code, _, err = run_cli(
-            capsys, "batch", "--url", self._url(server), "--tasks", str(tasks)
-        )
-        assert code == 2
-        assert "400" in err
-
-    def test_non_object_error_bodies_are_reported_cleanly(self, capsys):
-        """Regression: a proxy answering errors with a JSON array/string
-        body used to raise AttributeError instead of the exit-2 report."""
-        from http.server import BaseHTTPRequestHandler, HTTPServer
-
-        class ArrayError(BaseHTTPRequestHandler):
-            def do_POST(self):
-                body = json.dumps(["upstream unavailable"]).encode("utf-8")
-                self.send_response(503)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        httpd = HTTPServer(("127.0.0.1", 0), ArrayError)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = httpd.server_address[:2]
-            code, _, err = run_cli(
-                capsys, "batch", "--url", f"http://{host}:{port}",
-                "--suite", "table2",
-            )
-            assert code == 2
-            assert "503" in err
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(5)
-
-
-class TestWarmEngineCli:
-    def test_bench_engine_warm_matches_pool_verdicts(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "bench",
-            "--suite",
-            "table2",
-            "--engine",
-            "warm",
-            "--jobs",
-            "2",
-            "--cache-dir",
-            str(tmp_path / "warm"),
-            "--json",
-        )
-        assert code == 0
-        warm = json.loads(out)
-        code, out, _ = run_cli(
-            capsys,
-            "bench",
-            "--suite",
-            "table2",
-            "--cache-dir",
-            str(tmp_path / "cold"),
-            "--json",
-        )
-        assert code == 0
-        cold = json.loads(out)
-        assert warm["engine"] == "warm"
-        warm_verdicts = [
-            (r["name"], r["outcome"], r["proved"]) for r in warm["results"]
-        ]
-        cold_verdicts = [
-            (r["name"], r["outcome"], r["proved"]) for r in cold["results"]
-        ]
-        assert warm_verdicts == cold_verdicts

@@ -3,8 +3,9 @@
 Runs the same checks as CI's ``docs`` job (``tools/check_docs.py``), with
 an in-process ``--help`` runner so the fast suite doesn't fork a Python
 per subcommand: every ``repro`` invocation shown in README/docs must name
-a real subcommand and only flags that subcommand accepts, and every
-relative markdown link must resolve.
+a real subcommand and only flags that subcommand accepts, every ``/v1/``
+route they mention must be served, and every relative markdown link must
+resolve.
 """
 
 import sys
@@ -59,6 +60,23 @@ class TestDocsTree:
         )
         problems = check_docs.check_cli_invocations(in_process_help, tmp_path)
         assert problems and "--no-such-flag" in problems[0]
+
+    def test_documented_routes_are_served(self):
+        assert check_docs.check_routes(root=REPO_ROOT) == []
+
+    def test_checker_catches_a_stale_route(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text(
+            "`POST /v1/analyze` serves one program.\n", encoding="utf-8"
+        )
+        (tmp_path / "docs" / "cli.md").write_text(
+            "```console\n$ curl -s localhost:8734/v1/batch -d '{}'\n```\n",
+            encoding="utf-8",
+        )
+        problems = check_docs.check_routes(root=tmp_path)
+        assert problems == [
+            "docs/cli.md: `/v1/batch` is not a route of `repro serve`"
+        ]
 
     def test_checker_catches_a_broken_link(self, tmp_path):
         (tmp_path / "docs").mkdir()

@@ -277,17 +277,6 @@ class TestOutcomeCounts:
         assert sum(totals[other] for other in OUTCOMES) == 2
         assert totals["wall_time"] == 1.0
 
-    def test_pending_records_are_rejected(self):
-        """Sharded runs once reported tasks of other shards as ``pending``;
-        with sharding gone it is an unknown outcome like any other."""
-        assert "pending" not in OUTCOMES
-        record = BatchResult(
-            name="t", kind="analyze", outcome="ok", wall_time=0.0
-        ).to_dict()
-        record["outcome"] = "pending"
-        with pytest.raises(ValueError, match="unknown outcome"):
-            BatchResult.from_dict(record)
-
 
 FAST_ROWS = suite_tasks("all", full=False)
 
@@ -318,18 +307,6 @@ class TestFastSuiteThroughTheCache:
             cold[index].proved,
             cold[index].bound,
         )
-
-    @pytest.mark.parametrize(
-        "index",
-        range(len(FAST_ROWS)),
-        ids=[f"{task.suite}/{task.name}" for task in FAST_ROWS],
-    )
-    def test_record_survives_the_batch_wire(self, fast_suite_runs, index):
-        """``repro batch`` rebuilds each ``POST /batch`` record with
-        ``BatchResult.from_dict``; it must render what the engine printed."""
-        _, cold, _ = fast_suite_runs
-        record = json.loads(json.dumps(cold[index].to_dict()))
-        assert BatchResult.from_dict(record).to_dict() == cold[index].to_dict()
 
     def test_stats_count_the_entries_of_each_suite(self, fast_suite_runs):
         cache, cold, _ = fast_suite_runs
@@ -415,30 +392,6 @@ class TestNoSilentlyShrunkenReports:
         assert "no result was recorded" in results[1].detail
         totals = summarize_batch(results)
         assert totals["total"] == len(tasks)
-
-
-class TestBatchResultRecords:
-    def test_from_dict_round_trips(self):
-        task = AnalysisTask(name="toy", source=TRIVIAL, kind="assertion")
-        result = BatchEngine(jobs=1, cache=None).run([task])[0]
-        from repro.engine import BatchResult
-
-        rebuilt = BatchResult.from_dict(result.to_dict())
-        assert rebuilt.to_dict() == result.to_dict()
-
-    def test_from_dict_rejects_malformed_records(self):
-        from repro.engine import BatchResult
-
-        with pytest.raises(ValueError):
-            BatchResult.from_dict({"name": "x"})
-        with pytest.raises(ValueError):
-            BatchResult.from_dict(
-                {"name": "x", "kind": "analyze", "outcome": "sideways"}
-            )
-        with pytest.raises(ValueError):
-            BatchResult.from_dict(
-                {"name": "x", "kind": "analyze", "outcome": "ok", "payload": 3}
-            )
 
 
 class TestTaskProtocol:

@@ -1,22 +1,15 @@
-"""Unit coverage of the service client and the ``/v1/metrics`` numbers (no sockets).
+"""Unit coverage of the ``/v1/metrics`` numbers (no sockets).
 
 The network-facing behaviour (keep-alive, live concurrent clients) is
 covered by the integration suite; here the pure pieces are pinned —
-percentile maths, the metrics accounting behind ``/v1/metrics`` and the
-429 ``Retry-After`` hint, URL parsing and envelope decoding.
+percentile maths and the metrics accounting behind ``/v1/metrics`` and the
+429 ``Retry-After`` hint.
 """
 
 import json
 
 import pytest
 
-from repro.service.client import (
-    MalformedResponse,
-    Response,
-    ServiceClient,
-    ServiceHTTPError,
-    _parse_url,
-)
 from repro.service.server import (
     LATENCY_WINDOW,
     ServiceMetrics,
@@ -159,71 +152,3 @@ class TestServiceMetrics:
         assert document["queue"]["depth"] == 0
         assert document["responses"]["total"] == 0
         assert document["routes"] == {}
-
-
-class TestParseUrl:
-    def test_plain_host_port(self):
-        assert _parse_url("http://127.0.0.1:8734") == ("127.0.0.1", 8734, "")
-
-    def test_scheme_optional(self):
-        assert _parse_url("127.0.0.1:8080") == ("127.0.0.1", 8080, "")
-
-    def test_default_port(self):
-        assert _parse_url("http://example.test") == ("example.test", 80, "")
-
-    def test_path_prefix_kept_without_trailing_slash(self):
-        assert _parse_url("http://h:1/svc/") == ("h", 1, "/svc")
-
-    def test_https_is_rejected(self):
-        with pytest.raises(ValueError):
-            _parse_url("https://h:1")
-
-    def test_empty_host_is_rejected(self):
-        with pytest.raises(ValueError):
-            _parse_url("http://")
-
-
-class TestEnvelopeDecoding:
-    def test_v1_envelope(self):
-        document = {
-            "error": {
-                "code": "queue_full",
-                "message": "full",
-                "detail": {"capacity": 3},
-            },
-            "request_id": "r000042",
-        }
-        with pytest.raises(ServiceHTTPError) as error:
-            ServiceClient._raise_http_error(429, document, {"Retry-After": "2"})
-        assert error.value.status == 429
-        assert error.value.code == "queue_full"
-        assert error.value.message == "full"
-        assert error.value.detail == {"capacity": 3}
-        assert error.value.request_id == "r000042"
-        assert error.value.retry_after == 2.0
-
-    def test_legacy_string_error_body(self):
-        with pytest.raises(ServiceHTTPError) as error:
-            ServiceClient._raise_http_error(400, {"error": "bad thing"}, {})
-        assert error.value.code == ""
-        assert error.value.message == "bad thing"
-
-    def test_non_object_body(self):
-        with pytest.raises(ServiceHTTPError) as error:
-            ServiceClient._raise_http_error(503, ["upstream down"], {})
-        assert error.value.status == 503
-        assert error.value.message == "HTTP 503"
-
-    def test_malformed_retry_after_is_ignored(self):
-        with pytest.raises(ServiceHTTPError) as error:
-            ServiceClient._raise_http_error(429, {}, {"Retry-After": "soon"})
-        assert error.value.retry_after is None
-
-    def test_non_json_payload_is_malformed_response(self):
-        with pytest.raises(MalformedResponse):
-            ServiceClient._decode(b"<html>gateway</html>", 502)
-
-    def test_response_properties(self):
-        response = Response(200, {"ok": True}, {"X-Request-Id": "r1"}, 0.01)
-        assert response.request_id == "r1"
-        assert Response(200, {}, {}, 0.0).request_id == ""

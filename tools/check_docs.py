@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Documentation staleness checker (CI's ``docs`` job, importable by tests).
 
-Two classes of rot are detected across ``README.md`` and ``docs/*.md``:
+Three classes of rot are detected across ``README.md`` and ``docs/*.md``:
 
 * **Stale CLI invocations** — every ``repro <subcommand> ...`` line found
   in a fenced code block is checked against the real CLI: the subcommand
   must exist (its ``--help`` must succeed) and every ``--flag`` the docs
   show must appear in that subcommand's help text.  Renaming or removing
   a flag without updating the docs fails the job.
+* **Stale HTTP routes** — every ``/v1/<name>`` the docs mention, in prose
+  or code, must be a route ``repro serve`` mounts (a key of
+  ``AnalysisServer.ROUTES``), so a deleted route cannot linger.
 * **Broken intra-repo links** — every relative markdown link target must
   exist on disk (fragments are ignored; external ``http(s)://`` and
   ``mailto:`` links are not checked).
@@ -26,7 +29,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Collection, Iterator, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +40,7 @@ _FENCE = re.compile(r"^(```|~~~)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _PROMPT = re.compile(r"^[\w.-]*\$\s+")
 _FLAG = re.compile(r"^--[A-Za-z][A-Za-z-]*")
+_ROUTE = re.compile(r"/v1/([A-Za-z_][\w-]*)")
 
 
 def markdown_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -127,6 +131,31 @@ def check_cli_invocations(
     return problems
 
 
+def served_routes() -> frozenset[str]:
+    """The route names ``repro serve`` mounts under ``/v1/``."""
+    from repro.service.server import AnalysisServer
+
+    return frozenset(AnalysisServer.ROUTES)
+
+
+def check_routes(
+    routes: Optional[Collection[str]] = None, root: Path = REPO_ROOT
+) -> list[str]:
+    """Documented ``/v1/<name>`` routes that are not ``routes`` (empty when
+    clean); ``routes`` defaults to what the service mounts."""
+    if routes is None:
+        routes = served_routes()
+    problems: list[str] = []
+    for path in markdown_files(root):
+        relative = path.relative_to(root)
+        documented = set(_ROUTE.findall(path.read_text(encoding="utf-8")))
+        for name in sorted(documented - set(routes)):
+            problems.append(
+                f"{relative}: `/v1/{name}` is not a route of `repro serve`"
+            )
+    return problems
+
+
 def check_links(root: Path = REPO_ROOT) -> list[str]:
     """Broken relative link targets (empty when clean)."""
     problems: list[str] = []
@@ -143,7 +172,7 @@ def check_links(root: Path = REPO_ROOT) -> list[str]:
 
 
 def main() -> int:
-    problems = check_links() + check_cli_invocations()
+    problems = check_links() + check_cli_invocations() + check_routes()
     for problem in problems:
         print(f"DOCS: {problem}", file=sys.stderr)
     if not problems:
