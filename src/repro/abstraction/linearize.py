@@ -49,13 +49,6 @@ class LinearizationContext:
         self.dimensions[monomial] = symbol
         return symbol
 
-    def monomial_of(self, symbol: Symbol) -> Monomial | None:
-        """Inverse lookup: the monomial a dimension symbol stands for."""
-        for monomial, dim in self.dimensions.items():
-            if dim == symbol:
-                return monomial
-        return None
-
     # ------------------------------------------------------------------ #
     # Linearization
     # ------------------------------------------------------------------ #
@@ -95,9 +88,6 @@ class LinearizationContext:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def dimension_symbols(self) -> frozenset[Symbol]:
-        return frozenset(self.dimensions.values())
-
     def dimensions_over(self, symbols: frozenset[Symbol]) -> list[Symbol]:
         """Dimension symbols whose monomial only mentions ``symbols``."""
         return [

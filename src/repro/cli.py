@@ -67,6 +67,7 @@ from .engine import (
     summarize_batch,
 )
 from .engine.config import DEFAULT_SERVICE_PORT
+from .engine.tasks import substitution_pairs
 from .lint import SEVERITIES as _LINT_SEVERITIES
 from .reporting import format_table
 
@@ -385,21 +386,26 @@ def _command_analyze(arguments: argparse.Namespace) -> int:
     except ParseError as error:
         print(parse_failure_diagnostic(error).render(str(arguments.file)), file=sys.stderr)
         return 2
-    substitutions = []
+    pairs = []
     for item in arguments.sub:
         name, _, value = item.partition("=")
         try:
-            substitutions.append((name, int(value)))
+            pairs.append((name, int(value)))
         except ValueError:
             print(f"repro: bad --sub {item!r} (expected NAME=INT)", file=sys.stderr)
             return 2
+    try:
+        substitutions = substitution_pairs(pairs)
+    except ValueError as error:
+        print(f"repro: bad --sub: {error}", file=sys.stderr)
+        return 2
     task = AnalysisTask(
         name=arguments.file.stem,
         source=source,
         kind="analyze",
         procedure=arguments.procedure,
         cost_variable=arguments.cost_variable,
-        substitutions=tuple(sorted(substitutions)),
+        substitutions=substitutions,
     )
     engine = _make_engine(arguments)
     result = engine.run([task])[0]

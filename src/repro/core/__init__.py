@@ -8,8 +8,8 @@ Public entry points:
   complexity bounds (Table 1);
 * the building blocks: Alg. 2 (:mod:`repro.core.height_analysis`), Alg. 3
   (:mod:`repro.core.stratify`), Alg. 4 / §4.2 (:mod:`repro.core.depth_bound`),
-  §4.3 (:mod:`repro.core.two_region`), §4.4 (:mod:`repro.core.mutual`),
-  §4.5 (:mod:`repro.core.missing_base`).
+  §4.3 (:mod:`repro.core.two_region`), §4.4 (mutual recursion, interleaved
+  by :mod:`repro.core.height_analysis`), §4.5 (:mod:`repro.core.missing_base`).
 """
 
 from .summaries import (
@@ -29,7 +29,6 @@ from .depth_bound import (
     descent_depth_bound,
 )
 from .two_region import recursive_only_cfg, run_two_region_analysis
-from .mutual import analyze_component_decoupled, analyze_mutual_component
 from .missing_base import procedures_without_base_case, transform_missing_base_cases
 from .chora import AnalysisResult, ChoraOptions, analyze_component, analyze_program
 from .incremental import IncrementalAnalyzer, IncrementalReport
@@ -61,8 +60,6 @@ __all__ = [
     "descent_depth_bound",
     "recursive_only_cfg",
     "run_two_region_analysis",
-    "analyze_component_decoupled",
-    "analyze_mutual_component",
     "procedures_without_base_case",
     "transform_missing_base_cases",
     "AnalysisResult",

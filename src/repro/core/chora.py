@@ -55,13 +55,6 @@ class ChoraOptions:
         included) — the representation the batch engine's result cache keys on."""
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChoraOptions":
-        """Rebuild options from :meth:`to_dict` output."""
-        fields = dict(data)
-        abstraction = AbstractionOptions(**fields.pop("abstraction", {}))
-        return cls(abstraction=abstraction, **fields)
-
     def fingerprint(self) -> str:
         """A canonical string identifying this configuration.
 

@@ -92,9 +92,6 @@ class HeightAnalysis:
     def all_height_symbols(self) -> list[Symbol]:
         return [b.at_h for bounds in self.bound_symbols.values() for b in bounds]
 
-    def symbols_for(self, procedure: str) -> list[BoundSymbols]:
-        return self.bound_symbols.get(procedure, [])
-
 
 def _candidate_terms(
     inequations: Sequence[Inequation], keep: Sequence[Symbol]

@@ -24,51 +24,6 @@ from ..lang.callgraph import build_call_graph
 __all__ = ["procedures_without_base_case", "transform_missing_base_cases"]
 
 
-def _statement_always_calls(statement: ast.Stmt, targets: frozenset[str]) -> bool:
-    """Whether every execution of ``statement`` calls one of ``targets``."""
-    if isinstance(statement, ast.Block):
-        return any(_statement_always_calls(s, targets) for s in statement.statements)
-    if isinstance(statement, (ast.Assign, ast.VarDecl)):
-        value = statement.value if isinstance(statement, ast.Assign) else statement.init
-        return value is not None and _expression_calls(value, targets)
-    if isinstance(statement, ast.CallStmt):
-        return _expression_calls(statement.call, targets)
-    if isinstance(statement, ast.Return):
-        return statement.value is not None and _expression_calls(statement.value, targets)
-    if isinstance(statement, ast.If):
-        then_calls = _statement_always_calls(statement.then_branch, targets)
-        else_calls = (
-            _statement_always_calls(statement.else_branch, targets)
-            if statement.else_branch is not None
-            else False
-        )
-        return then_calls and else_calls
-    # Loops may run zero times; assume/assert/havoc make no calls.
-    return False
-
-
-def _expression_calls(expression: ast.Expr, targets: frozenset[str]) -> bool:
-    if isinstance(expression, ast.CallExpr):
-        if expression.callee in targets:
-            return True
-        return any(_expression_calls(a, targets) for a in expression.args)
-    if isinstance(expression, ast.BinOp):
-        return _expression_calls(expression.left, targets) or _expression_calls(
-            expression.right, targets
-        )
-    if isinstance(expression, ast.UnaryNeg):
-        return _expression_calls(expression.operand, targets)
-    if isinstance(expression, ast.MinMax):
-        return _expression_calls(expression.left, targets) or _expression_calls(
-            expression.right, targets
-        )
-    if isinstance(expression, ast.Ternary):
-        return _expression_calls(expression.then_value, targets) and _expression_calls(
-            expression.else_value, targets
-        )
-    return False
-
-
 def procedures_without_base_case(program: ast.Program) -> frozenset[str]:
     """Members of recursive components all of whose paths re-enter the component.
 
@@ -87,21 +42,9 @@ def procedures_without_base_case(program: ast.Program) -> frozenset[str]:
         members = frozenset(component)
         for name in component:
             cfg = build_cfg(program.procedure(name))
-            successors: dict[int, set[int]] = {}
-            for edge in cfg.weight_edges:
-                successors.setdefault(edge.source, set()).add(edge.target)
-            for edge in cfg.call_edges:
-                if edge.callee not in members:
-                    successors.setdefault(edge.source, set()).add(edge.target)
-            seen = {cfg.entry}
-            frontier = [cfg.entry]
-            while frontier:
-                vertex = frontier.pop()
-                for target in successors.get(vertex, ()):
-                    if target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-            if cfg.exit not in seen:
+            if cfg.exit not in cfg.reachable(
+                lambda edge: getattr(edge, "callee", None) not in members
+            ):
                 missing.add(name)
     return frozenset(missing)
 

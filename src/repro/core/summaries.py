@@ -276,13 +276,6 @@ class ProcedureSummary:
             formula = exists(bound_symbols, formula)
         return TransitionFormula.relation(formula, self.variables)
 
-    def bounded_term_for(self, polynomial: Polynomial) -> Optional[BoundedTerm]:
-        """Find a bounded term whose relational expression equals ``polynomial``."""
-        for bounded in self.bounded_terms:
-            if bounded.term == polynomial:
-                return bounded
-        return None
-
     def __str__(self) -> str:
         lines = [f"summary of {self.name} over {', '.join(self.variables)}"]
         if self.is_recursive:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from ..baselines import analyze_program_icra, check_assertions_by_unrolling
 from ..core import (
@@ -47,6 +47,7 @@ __all__ = [
     "register_kind",
     "registered_kinds",
     "set_program_analyzer",
+    "substitution_pairs",
 ]
 
 #: When set (to anything but ``""``/``"0"``), :func:`execute_task` lints each
@@ -70,6 +71,19 @@ class InvalidProgram(Exception):
 
 def lint_gate_enabled() -> bool:
     return os.environ.get(LINT_GATE_ENV, "") not in ("", "0")
+
+
+def substitution_pairs(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """``pairs`` sorted by name: the form :attr:`AnalysisTask.substitutions` takes.
+
+    A name given twice is a ``ValueError`` naming it: once sorted, the
+    larger value would win whatever order the caller gave them in.
+    """
+    ordered = tuple(sorted(pairs))
+    for (name, _), (following, _) in zip(ordered, ordered[1:]):
+        if name == following:
+            raise ValueError(f"substitution {name!r} is given twice")
+    return ordered
 
 
 @dataclass(frozen=True)

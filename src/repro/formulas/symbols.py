@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "Symbol",
@@ -161,8 +161,3 @@ def preserved_fresh_counter() -> Iterator[None]:
         yield
     finally:
         _FRESH_COUNTER = saved
-
-
-def pre_post_pairs(names: Iterable[str]) -> list[tuple[Symbol, Symbol]]:
-    """Return ``[(x, x'), ...]`` pairs for each program variable name."""
-    return [(pre(name), post(name)) for name in names]

@@ -29,7 +29,6 @@ from .formula import (
     exists,
     free_symbols,
     rename,
-    substitute,
 )
 from .polynomial import Polynomial
 from .symbols import Symbol, fresh, post, pre
@@ -208,13 +207,6 @@ class TransitionFormula:
             symbol_map[post(src)] = post(dst)
         footprint = frozenset(mapping.get(n, n) for n in self.footprint)
         return TransitionFormula(rename(self.formula, symbol_map), footprint)
-
-    def substitute_pre(self, mapping: Mapping[str, Polynomial]) -> "TransitionFormula":
-        """Substitute pre-state variables by polynomials over pre-state symbols."""
-        if not mapping:
-            return self
-        sub = {pre(name): poly for name, poly in mapping.items()}
-        return TransitionFormula(substitute(self.formula, sub), self.footprint)
 
     def free_symbols(self) -> frozenset[Symbol]:
         return free_symbols(self.formula)

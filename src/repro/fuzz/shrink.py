@@ -232,72 +232,12 @@ def _count_literals(program: ast.Program) -> int:
 
 
 def _referenced_procedures(program: ast.Program) -> set[str]:
-    names: set[str] = set()
-
-    def expr(expression: ast.Expr) -> None:
-        if isinstance(expression, ast.CallExpr):
-            names.add(expression.callee)
-            for argument in expression.args:
-                expr(argument)
-        elif isinstance(expression, ast.UnaryNeg):
-            expr(expression.operand)
-        elif isinstance(expression, ast.BinOp):
-            expr(expression.left)
-            expr(expression.right)
-        elif isinstance(expression, ast.Nondet):
-            if expression.lower is not None:
-                expr(expression.lower)
-            if expression.upper is not None:
-                expr(expression.upper)
-        elif isinstance(expression, ast.ArrayRead):
-            expr(expression.index)
-        elif isinstance(expression, ast.MinMax):
-            expr(expression.left)
-            expr(expression.right)
-        elif isinstance(expression, ast.Ternary):
-            cond(expression.condition)
-            expr(expression.then_value)
-            expr(expression.else_value)
-
-    def cond(condition: ast.Cond) -> None:
-        if isinstance(condition, ast.Compare):
-            expr(condition.left)
-            expr(condition.right)
-        elif isinstance(condition, ast.BoolOp):
-            cond(condition.left)
-            cond(condition.right)
-        elif isinstance(condition, ast.NotCond):
-            cond(condition.operand)
-
-    def stmt(statement: ast.Stmt) -> None:
-        if isinstance(statement, ast.Block):
-            for child in statement.statements:
-                stmt(child)
-        elif isinstance(statement, ast.VarDecl) and statement.init is not None:
-            expr(statement.init)
-        elif isinstance(statement, ast.Assign):
-            expr(statement.value)
-        elif isinstance(statement, ast.ArrayWrite):
-            expr(statement.index)
-            expr(statement.value)
-        elif isinstance(statement, ast.CallStmt):
-            expr(statement.call)
-        elif isinstance(statement, ast.If):
-            cond(statement.condition)
-            stmt(statement.then_branch)
-            if statement.else_branch is not None:
-                stmt(statement.else_branch)
-        elif isinstance(statement, ast.While):
-            cond(statement.condition)
-            stmt(statement.body)
-        elif isinstance(statement, ast.Return) and statement.value is not None:
-            expr(statement.value)
-        elif isinstance(statement, (ast.Assert, ast.Assume)):
-            cond(statement.condition)
-
-    for procedure in program.procedures:
-        stmt(procedure.body)
-    return names
+    return {
+        node.callee
+        for procedure in program.procedures
+        for node in ast.walk(procedure.body)
+        if isinstance(node, ast.CallExpr)
+    }
 
 
 # ---------------------------------------------------------------------- #

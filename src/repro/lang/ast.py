@@ -14,14 +14,21 @@ attribute recording the source line of their first token.  The field is for
 equality, hashing and ``repr``, so structural identity and everything built
 on it (procedure fingerprints hash ``repr``, see
 :mod:`repro.lang.fingerprint`) stay insensitive to formatting.
+
+:func:`children` and :func:`walk` are the one traversal of the tree: every
+analysis that searches it (call graphs, locals, the lint passes, the fuzz
+shrinker) is a loop over :func:`walk` rather than its own recursive
+visitor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import cache
+from typing import Iterator, Optional
 
 __all__ = [
+    "Node",
     # expressions
     "Expr",
     "IntLit",
@@ -58,7 +65,17 @@ __all__ = [
     "Procedure",
     "GlobalDecl",
     "Program",
+    # traversal
+    "children",
+    "walk",
 ]
+
+
+class Node:
+    """Base class of every syntax-tree node: expressions, conditions,
+    statements and the top-level declarations."""
+
+    __slots__ = ()
 
 
 def _line_field() -> Optional[int]:
@@ -69,7 +86,7 @@ def _line_field() -> Optional[int]:
 # ---------------------------------------------------------------------- #
 # Expressions
 # ---------------------------------------------------------------------- #
-class Expr:
+class Expr(Node):
     """Base class of integer-valued expressions."""
 
     __slots__ = ()
@@ -193,7 +210,7 @@ class Ternary(Expr):
 # ---------------------------------------------------------------------- #
 # Conditions
 # ---------------------------------------------------------------------- #
-class Cond:
+class Cond(Node):
     """Base class of boolean conditions."""
 
     __slots__ = ()
@@ -250,7 +267,7 @@ class NondetBool(Cond):
 # ---------------------------------------------------------------------- #
 # Statements
 # ---------------------------------------------------------------------- #
-class Stmt:
+class Stmt(Node):
     """Base class of statements.
 
     Every concrete statement carries an attribution-only ``line`` (see the
@@ -390,7 +407,7 @@ class Havoc(Stmt):
 # Top level
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class Parameter:
+class Parameter(Node):
     """A formal parameter; ``is_array`` parameters carry no integer state."""
 
     name: str
@@ -401,7 +418,7 @@ class Parameter:
 
 
 @dataclass(frozen=True)
-class Procedure:
+class Procedure(Node):
     """A procedure definition."""
 
     name: str
@@ -416,25 +433,11 @@ class Procedure:
         return tuple(p.name for p in self.parameters if not p.is_array)
 
     def local_variables(self) -> tuple[str, ...]:
-        """Names of the locals declared anywhere in the body."""
-        names: list[str] = []
-
-        def visit(stmt: Stmt) -> None:
-            if isinstance(stmt, VarDecl):
-                if stmt.name not in names:
-                    names.append(stmt.name)
-            elif isinstance(stmt, Block):
-                for child in stmt.statements:
-                    visit(child)
-            elif isinstance(stmt, If):
-                visit(stmt.then_branch)
-                if stmt.else_branch is not None:
-                    visit(stmt.else_branch)
-            elif isinstance(stmt, While):
-                visit(stmt.body)
-
-        visit(self.body)
-        return tuple(names)
+        """Names of the locals declared anywhere in the body, in the order
+        of their first declarations."""
+        return tuple(
+            dict.fromkeys(node.name for node in walk(self.body) if isinstance(node, VarDecl))
+        )
 
     def __str__(self) -> str:
         kind = "int" if self.returns_value else "void"
@@ -443,7 +446,7 @@ class Procedure:
 
 
 @dataclass(frozen=True)
-class GlobalDecl:
+class GlobalDecl(Node):
     """A global integer variable with an optional constant initializer."""
 
     name: str
@@ -457,7 +460,7 @@ class GlobalDecl:
 
 
 @dataclass(frozen=True)
-class Program:
+class Program(Node):
     """A whole program: global declarations plus procedures."""
 
     globals: tuple[GlobalDecl, ...]
@@ -480,3 +483,39 @@ class Program:
     def __str__(self) -> str:
         parts = [str(g) for g in self.globals] + [str(p) for p in self.procedures]
         return "\n".join(parts)
+
+
+# ---------------------------------------------------------------------- #
+# Traversal
+# ---------------------------------------------------------------------- #
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The fields of a node class in declaration order, ``line`` excluded."""
+    return tuple(f.name for f in fields(cls) if f.name != "line")
+
+
+def children(node: Node) -> list[Node]:
+    """The direct sub-nodes of ``node``, in source order.
+
+    Every dataclass field is read generically: it holds a node, a tuple of
+    nodes, ``None``, or a name, operator or literal, and only nodes are
+    kept.  This and :func:`walk` are the only code that knows where a node
+    keeps its expressions, conditions and statements.
+    """
+    found: list[Node] = []
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, tuple):
+            found += value
+        elif isinstance(value, Node):
+            found.append(value)
+    return found
+
+
+def walk(node: Node) -> Iterator[Node]:
+    """``node`` and every node below it, preorder, in source order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(children(node))

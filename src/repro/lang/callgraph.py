@@ -10,64 +10,12 @@ exactly that structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
+from ..graphs import strongly_connected_components
 from . import ast
 
 __all__ = ["CallGraph", "build_call_graph"]
-
-
-def _calls_in_expression(expression: ast.Expr) -> set[str]:
-    calls: set[str] = set()
-    if isinstance(expression, ast.CallExpr):
-        calls.add(expression.callee)
-        for argument in expression.args:
-            calls |= _calls_in_expression(argument)
-    elif isinstance(expression, ast.BinOp):
-        calls |= _calls_in_expression(expression.left)
-        calls |= _calls_in_expression(expression.right)
-    elif isinstance(expression, ast.UnaryNeg):
-        calls |= _calls_in_expression(expression.operand)
-    elif isinstance(expression, ast.MinMax):
-        calls |= _calls_in_expression(expression.left)
-        calls |= _calls_in_expression(expression.right)
-    elif isinstance(expression, ast.Ternary):
-        calls |= _calls_in_expression(expression.then_value)
-        calls |= _calls_in_expression(expression.else_value)
-    elif isinstance(expression, ast.Nondet):
-        if expression.lower is not None:
-            calls |= _calls_in_expression(expression.lower)
-        if expression.upper is not None:
-            calls |= _calls_in_expression(expression.upper)
-    elif isinstance(expression, ast.ArrayRead):
-        calls |= _calls_in_expression(expression.index)
-    return calls
-
-
-def _calls_in_statement(statement: ast.Stmt) -> set[str]:
-    calls: set[str] = set()
-    if isinstance(statement, ast.Block):
-        for child in statement.statements:
-            calls |= _calls_in_statement(child)
-    elif isinstance(statement, (ast.Assign, ast.VarDecl)):
-        value = statement.value if isinstance(statement, ast.Assign) else statement.init
-        if value is not None:
-            calls |= _calls_in_expression(value)
-    elif isinstance(statement, ast.CallStmt):
-        calls |= _calls_in_expression(statement.call)
-    elif isinstance(statement, ast.Return):
-        if statement.value is not None:
-            calls |= _calls_in_expression(statement.value)
-    elif isinstance(statement, ast.If):
-        calls |= _calls_in_statement(statement.then_branch)
-        if statement.else_branch is not None:
-            calls |= _calls_in_statement(statement.else_branch)
-    elif isinstance(statement, ast.While):
-        calls |= _calls_in_statement(statement.body)
-    elif isinstance(statement, ast.ArrayWrite):
-        calls |= _calls_in_expression(statement.value)
-        calls |= _calls_in_expression(statement.index)
-    return calls
 
 
 @dataclass
@@ -87,7 +35,9 @@ class CallGraph:
         component ``B`` (with ``A != B``), ``B`` appears before ``A`` — i.e.
         callees are analysed before their callers, the order §4 requires.
         """
-        return _tarjan(self.edges)
+        return strongly_connected_components(
+            {name: sorted(self.edges[name]) for name in sorted(self.edges)}
+        )
 
     def is_recursive(self, component: Sequence[str]) -> bool:
         """Whether a component is (mutually or directly) recursive."""
@@ -113,63 +63,19 @@ class CallGraph:
 
 
 def build_call_graph(program: ast.Program) -> CallGraph:
-    """Build the call graph (edges restricted to defined procedures)."""
+    """Build the call graph (edges restricted to defined procedures).
+
+    Every call in a body is an edge, wherever it sits: in a statement, an
+    expression or a condition.
+    """
     defined = set(program.procedure_names)
-    edges: dict[str, frozenset[str]] = {}
-    for procedure in program.procedures:
-        calls = _calls_in_statement(procedure.body) & defined
-        edges[procedure.name] = frozenset(calls)
-    return CallGraph(edges)
-
-
-def _tarjan(graph: Mapping[str, Iterable[str]]) -> list[list[str]]:
-    """Iterative Tarjan SCC over string-keyed graphs, dependencies first."""
-    index_counter = 0
-    indices: dict[str, int] = {}
-    lowlinks: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-
-    def strongconnect(start: str) -> None:
-        nonlocal index_counter
-        work: list[tuple[str, int]] = [(start, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                indices[node] = index_counter
-                lowlinks[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = sorted(s for s in graph.get(node, ()) if s in graph)
-            for i in range(child_index, len(successors)):
-                successor = successors[i]
-                if successor not in indices:
-                    work[-1] = (node, i + 1)
-                    work.append((successor, 0))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-            if lowlinks[node] == indices[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-
-    for node in sorted(graph):
-        if node not in indices:
-            strongconnect(node)
-    return components
+    return CallGraph(
+        {
+            procedure.name: frozenset(
+                node.callee
+                for node in ast.walk(procedure.body)
+                if isinstance(node, ast.CallExpr) and node.callee in defined
+            )
+            for procedure in program.procedures
+        }
+    )

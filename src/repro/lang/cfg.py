@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..formulas import TransitionFormula
 from . import ast
@@ -110,13 +110,23 @@ class ControlFlowGraph:
     def callees(self) -> frozenset[str]:
         return frozenset(edge.callee for edge in self.call_edges)
 
-    def successors(self, vertex: int):
-        for edge in self.weight_edges:
-            if edge.source == vertex:
-                yield edge
-        for edge in self.call_edges:
-            if edge.source == vertex:
-                yield edge
+    def reachable(
+        self, follow: Optional[Callable[[WeightEdge | CallEdge], bool]] = None
+    ) -> frozenset[int]:
+        """The vertices reachable from the entry along the edges ``follow``
+        accepts (every edge when ``None``)."""
+        successors: dict[int, list[int]] = {}
+        for edge in self.edges:
+            if follow is None or follow(edge):
+                successors.setdefault(edge.source, []).append(edge.target)
+        seen = {self.entry}
+        frontier = [self.entry]
+        while frontier:
+            for target in successors.get(frontier.pop(), ()):
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+        return frozenset(seen)
 
     def variables(self, global_names: Iterable[str]) -> tuple[str, ...]:
         """All program variables in scope inside this procedure."""

@@ -68,24 +68,6 @@ def _check_unreachable_procedures(program: ast.Program) -> list[Diagnostic]:
 # ---------------------------------------------------------------------- #
 # R102: recursive components with no base case at all
 # ---------------------------------------------------------------------- #
-def _exit_reachable(cfg: ControlFlowGraph, component: frozenset[str], terminating: frozenset[str]) -> bool:
-    """Entry→exit reachability where intra-component calls must terminate."""
-    seen = {cfg.entry}
-    frontier = [cfg.entry]
-    while frontier:
-        vertex = frontier.pop()
-        if vertex == cfg.exit:
-            return True
-        for edge in cfg.successors(vertex):
-            callee = getattr(edge, "callee", None)
-            if callee is not None and callee in component and callee not in terminating:
-                continue
-            if edge.target not in seen:
-                seen.add(edge.target)
-                frontier.append(edge.target)
-    return False
-
-
 def _check_missing_base_cases(
     program: ast.Program, cfgs: dict[str, ControlFlowGraph]
 ) -> list[Diagnostic]:
@@ -104,7 +86,13 @@ def _check_missing_base_cases(
             for name in component:
                 if name in terminating:
                     continue
-                if _exit_reachable(cfgs[name], members, terminating):
+                # Entry→exit reachability where intra-component calls must
+                # target members already known to terminate.
+                blocked = members - terminating
+                cfg = cfgs[name]
+                if cfg.exit in cfg.reachable(
+                    lambda edge: getattr(edge, "callee", None) not in blocked
+                ):
                     terminating |= {name}
                     changed = True
         for name in sorted(members - terminating):
@@ -132,31 +120,21 @@ def _single_assignment_locals(procedure: ast.Procedure) -> dict[str, ast.Expr]:
     """Locals defined by exactly one initializer/assignment in the body."""
     counts: dict[str, int] = {}
     values: dict[str, ast.Expr] = {}
-
-    def visit(statement: ast.Stmt) -> None:
-        if isinstance(statement, ast.Block):
-            for child in statement.statements:
-                visit(child)
-        elif isinstance(statement, ast.VarDecl):
-            counts[statement.name] = counts.get(statement.name, 0) + 1
-            if statement.init is not None:
-                values[statement.name] = statement.init
-            else:
-                counts[statement.name] += 1  # an uninitialized decl is not a binding
-        elif isinstance(statement, (ast.Assign, ast.Havoc)):
-            counts[statement.name] = counts.get(statement.name, 0) + 1
-            if isinstance(statement, ast.Assign):
-                values[statement.name] = statement.value
-            else:
-                counts[statement.name] += 1
-        elif isinstance(statement, ast.If):
-            visit(statement.then_branch)
-            if statement.else_branch is not None:
-                visit(statement.else_branch)
-        elif isinstance(statement, ast.While):
-            visit(statement.body)
-
-    visit(procedure.body)
+    for node in ast.walk(procedure.body):
+        if isinstance(node, ast.VarDecl):
+            name, value = node.name, node.init
+        elif isinstance(node, ast.Assign):
+            name, value = node.name, node.value
+        elif isinstance(node, ast.Havoc):
+            name, value = node.name, None
+        else:
+            continue
+        if value is None:
+            # An uninitialized declaration or a havoc is not a binding.
+            counts[name] = counts.get(name, 0) + 2
+        else:
+            counts[name] = counts.get(name, 0) + 1
+            values[name] = value
     parameters = set(procedure.scalar_parameters)
     return {
         name: value
@@ -253,110 +231,44 @@ def _check_descent(
 # ---------------------------------------------------------------------- #
 # R104: nondet-free infinite loops
 # ---------------------------------------------------------------------- #
-def _expression_has_nondet(expression: Optional[ast.Expr]) -> bool:
-    if expression is None:
-        return False
-    if isinstance(expression, (ast.Nondet, ast.ArrayRead, ast.CallExpr)):
-        return True
-    if isinstance(expression, ast.BinOp):
-        return _expression_has_nondet(expression.left) or _expression_has_nondet(
-            expression.right
-        )
-    if isinstance(expression, ast.UnaryNeg):
-        return _expression_has_nondet(expression.operand)
-    if isinstance(expression, ast.MinMax):
-        return _expression_has_nondet(expression.left) or _expression_has_nondet(
-            expression.right
-        )
-    if isinstance(expression, ast.Ternary):
-        return (
-            _condition_has_nondet(expression.condition)
-            or _expression_has_nondet(expression.then_value)
-            or _expression_has_nondet(expression.else_value)
-        )
-    return False
-
-
-def _condition_has_nondet(condition: ast.Cond) -> bool:
-    if isinstance(condition, ast.NondetBool):
-        return True
-    if isinstance(condition, ast.Compare):
-        return _expression_has_nondet(condition.left) or _expression_has_nondet(
-            condition.right
-        )
-    if isinstance(condition, ast.BoolOp):
-        return _condition_has_nondet(condition.left) or _condition_has_nondet(
-            condition.right
-        )
-    if isinstance(condition, ast.NotCond):
-        return _condition_has_nondet(condition.operand)
-    return False
-
-
-def _body_can_escape(statement: ast.Stmt) -> bool:
-    """Whether a loop body contains any exit or source of non-determinism."""
-    if isinstance(statement, (ast.Return, ast.Havoc, ast.CallStmt)):
-        return True
-    if isinstance(statement, ast.Block):
-        return any(_body_can_escape(child) for child in statement.statements)
-    if isinstance(statement, ast.VarDecl):
-        return statement.init is None or _expression_has_nondet(statement.init)
-    if isinstance(statement, ast.Assign):
-        return _expression_has_nondet(statement.value)
-    if isinstance(statement, ast.ArrayWrite):
-        return _expression_has_nondet(statement.index) or _expression_has_nondet(
-            statement.value
-        )
-    if isinstance(statement, ast.If):
-        if _condition_has_nondet(statement.condition):
-            return True
-        if _body_can_escape(statement.then_branch):
-            return True
-        return statement.else_branch is not None and _body_can_escape(
-            statement.else_branch
-        )
-    if isinstance(statement, ast.While):
-        return _condition_has_nondet(statement.condition) or _body_can_escape(
-            statement.body
-        )
-    if isinstance(statement, (ast.Assume, ast.Assert)):
-        # assume can block (ending the execution); a failing assert aborts it.
-        return True
-    return False
+#: Nodes by which a loop body may leave the loop or see a changing value:
+#: a return, a call, non-determinism (``nondet``, ``*``, array reads,
+#: havocs, uninitialized declarations), or an assume that blocks or an
+#: assert that aborts the execution.
+_ESCAPES = (
+    ast.Return,
+    ast.CallStmt,
+    ast.CallExpr,
+    ast.Nondet,
+    ast.NondetBool,
+    ast.ArrayRead,
+    ast.Havoc,
+    ast.Assume,
+    ast.Assert,
+)
 
 
 def _check_infinite_loops(program: ast.Program) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
-
-    def visit(procedure_name: str, statement: ast.Stmt) -> None:
-        if isinstance(statement, ast.Block):
-            for child in statement.statements:
-                visit(procedure_name, child)
-        elif isinstance(statement, ast.If):
-            visit(procedure_name, statement.then_branch)
-            if statement.else_branch is not None:
-                visit(procedure_name, statement.else_branch)
-        elif isinstance(statement, ast.While):
-            if condition_always_true(statement.condition) and not _body_can_escape(
-                statement.body
-            ):
-                diagnostics.append(
-                    Diagnostic(
-                        code="R104",
-                        severity="warning",
-                        message=(
-                            "infinite loop: the condition is always true and the"
-                            " body contains no return, call, or nondet"
-                        ),
-                        line=statement.line,
-                        procedure=procedure_name,
-                    )
-                )
-            visit(procedure_name, statement.body)
-
-    for procedure in program.procedures:
-        visit(procedure.name, procedure.body)
-    return diagnostics
+    return [
+        Diagnostic(
+            code="R104",
+            severity="warning",
+            message=(
+                "infinite loop: the condition is always true and the"
+                " body contains no return, call, or nondet"
+            ),
+            line=loop.line,
+            procedure=procedure.name,
+        )
+        for procedure in program.procedures
+        for loop in ast.walk(procedure.body)
+        if isinstance(loop, ast.While)
+        and condition_always_true(loop.condition)
+        and not any(
+            isinstance(node, _ESCAPES) or (isinstance(node, ast.VarDecl) and node.init is None)
+            for node in ast.walk(loop.body)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------- #

@@ -28,85 +28,33 @@ from ..lang import SemanticsError, ast, build_cfg
 from ..lang.cfg import CallEdge, ControlFlowGraph
 from .diagnostics import Diagnostic
 
-__all__ = ["check_program", "condition_variables", "expression_variables"]
+__all__ = ["check_program"]
 
 
 # ---------------------------------------------------------------------- #
 # Variable footprints of expressions / conditions / edges
 # ---------------------------------------------------------------------- #
-def expression_variables(expression: Optional[ast.Expr]) -> frozenset[str]:
-    """The scalar variables an expression reads (array *names* excluded)."""
-    if expression is None:
-        return frozenset()
-    names: set[str] = set()
-
-    def visit(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.VarRef):
-            names.add(expr.name)
-        elif isinstance(expr, ast.BinOp):
-            visit(expr.left)
-            visit(expr.right)
-        elif isinstance(expr, ast.UnaryNeg):
-            visit(expr.operand)
-        elif isinstance(expr, ast.Nondet):
-            for bound in (expr.lower, expr.upper):
-                if bound is not None:
-                    visit(bound)
-        elif isinstance(expr, ast.ArrayRead):
-            visit(expr.index)
-        elif isinstance(expr, ast.CallExpr):
-            for argument in expr.args:
-                visit(argument)
-        elif isinstance(expr, ast.MinMax):
-            visit(expr.left)
-            visit(expr.right)
-        elif isinstance(expr, ast.Ternary):
-            names.update(condition_variables(expr.condition))
-            visit(expr.then_value)
-            visit(expr.else_value)
-
-    visit(expression)
-    return frozenset(names)
-
-
-def condition_variables(condition: ast.Cond) -> frozenset[str]:
-    """The scalar variables a condition reads."""
-    if isinstance(condition, ast.Compare):
-        return expression_variables(condition.left) | expression_variables(condition.right)
-    if isinstance(condition, ast.BoolOp):
-        return condition_variables(condition.left) | condition_variables(condition.right)
-    if isinstance(condition, ast.NotCond):
-        return condition_variables(condition.operand)
-    return frozenset()
+def _variables_read(node: ast.Node) -> frozenset[str]:
+    """The scalar variables read anywhere under ``node`` (array *names*
+    excluded)."""
+    return frozenset(n.name for n in ast.walk(node) if isinstance(n, ast.VarRef))
 
 
 def _edge_defs_uses(edge) -> tuple[frozenset[str], frozenset[str]]:
     """``(defs, uses)`` of one CFG edge, from its origin statement."""
     if isinstance(edge, CallEdge):
-        uses = frozenset().union(*(expression_variables(a) for a in edge.arguments)) \
-            if edge.arguments else frozenset()
+        uses = frozenset().union(*map(_variables_read, edge.arguments))
         defs = frozenset([edge.result]) if edge.result else frozenset()
         return defs, uses
     origin = edge.origin
     if origin is None:
         return frozenset(), frozenset()
-    if isinstance(origin, ast.VarDecl):
-        return frozenset([origin.name]), expression_variables(origin.init)
-    if isinstance(origin, ast.Assign):
-        return frozenset([origin.name]), expression_variables(origin.value)
-    if isinstance(origin, ast.Havoc):
-        return frozenset([origin.name]), frozenset()
-    if isinstance(origin, (ast.Assume, ast.Assert)):
-        return frozenset(), condition_variables(origin.condition)
-    if isinstance(origin, ast.ArrayWrite):
-        return frozenset(), expression_variables(origin.index) | expression_variables(
-            origin.value
-        )
-    if isinstance(origin, ast.Return):
-        if origin.value is None:
-            return frozenset(), frozenset()
-        return frozenset(["return"]), expression_variables(origin.value)
-    return frozenset(), frozenset()
+    uses = _variables_read(origin)
+    if isinstance(origin, (ast.VarDecl, ast.Assign, ast.Havoc)):
+        return frozenset([origin.name]), uses
+    if isinstance(origin, ast.Return) and origin.value is not None:
+        return frozenset(["return"]), uses
+    return frozenset(), uses
 
 
 def _edge_line(edge) -> Optional[int]:
@@ -116,18 +64,6 @@ def _edge_line(edge) -> Optional[int]:
 # ---------------------------------------------------------------------- #
 # Per-procedure passes
 # ---------------------------------------------------------------------- #
-def _reachable_vertices(cfg: ControlFlowGraph) -> frozenset[int]:
-    seen = {cfg.entry}
-    frontier = [cfg.entry]
-    while frontier:
-        vertex = frontier.pop()
-        for edge in cfg.successors(vertex):
-            if edge.target not in seen:
-                seen.add(edge.target)
-                frontier.append(edge.target)
-    return frozenset(seen)
-
-
 def _check_declarations(
     cfg: ControlFlowGraph, declared: frozenset[str], procedure: str
 ) -> list[Diagnostic]:
@@ -302,7 +238,7 @@ def check_program(program: ast.Program) -> list[Diagnostic]:
             | {parameter.name for parameter in procedure.parameters}
             | set(cfg.locals)
         )
-        reachable = _reachable_vertices(cfg)
+        reachable = cfg.reachable()
         locals_ = frozenset(cfg.locals)
         diagnostics += _check_declarations(cfg, frozenset(declared), procedure.name)
         diagnostics += _check_read_before_declaration(

@@ -37,48 +37,8 @@ _OPTIONS = AbstractionOptions()
 # ---------------------------------------------------------------------- #
 # Condition classification
 # ---------------------------------------------------------------------- #
-def _expression_contains_call(expression: Optional[ast.Expr]) -> bool:
-    if expression is None:
-        return False
-    if isinstance(expression, ast.CallExpr):
-        return True
-    if isinstance(expression, ast.BinOp):
-        return _expression_contains_call(expression.left) or _expression_contains_call(
-            expression.right
-        )
-    if isinstance(expression, ast.UnaryNeg):
-        return _expression_contains_call(expression.operand)
-    if isinstance(expression, ast.Nondet):
-        return _expression_contains_call(expression.lower) or _expression_contains_call(
-            expression.upper
-        )
-    if isinstance(expression, ast.ArrayRead):
-        return _expression_contains_call(expression.index)
-    if isinstance(expression, ast.MinMax):
-        return _expression_contains_call(expression.left) or _expression_contains_call(
-            expression.right
-        )
-    if isinstance(expression, ast.Ternary):
-        return (
-            condition_contains_call(expression.condition)
-            or _expression_contains_call(expression.then_value)
-            or _expression_contains_call(expression.else_value)
-        )
-    return False
-
-
-def condition_contains_call(condition: ast.Cond) -> bool:
-    if isinstance(condition, ast.Compare):
-        return _expression_contains_call(condition.left) or _expression_contains_call(
-            condition.right
-        )
-    if isinstance(condition, ast.BoolOp):
-        return condition_contains_call(condition.left) or condition_contains_call(
-            condition.right
-        )
-    if isinstance(condition, ast.NotCond):
-        return condition_contains_call(condition.operand)
-    return False
+def _has_call(node: ast.Node) -> bool:
+    return any(isinstance(n, ast.CallExpr) for n in ast.walk(node))
 
 
 def classify_condition(condition: ast.Cond) -> Optional[str]:
@@ -89,7 +49,7 @@ def classify_condition(condition: ast.Cond) -> Optional[str]:
     """
     if isinstance(condition, ast.BoolLit):
         return "true" if condition.value else "false"
-    if isinstance(condition, ast.NondetBool) or condition_contains_call(condition):
+    if isinstance(condition, ast.NondetBool) or _has_call(condition):
         return None
     try:
         positive = translate_condition(condition)
@@ -135,34 +95,8 @@ class _Checker:
         )
 
     # -- expressions -------------------------------------------------- #
-    def check_expression(self, expression: Optional[ast.Expr], line: Optional[int]) -> None:
-        if expression is None:
-            return
-        if isinstance(expression, ast.BinOp):
-            self.check_expression(expression.left, line)
-            self.check_expression(expression.right, line)
-            if expression.op == "/":
-                self._check_divisor(expression.right, line)
-        elif isinstance(expression, ast.UnaryNeg):
-            self.check_expression(expression.operand, line)
-        elif isinstance(expression, ast.Nondet):
-            self.check_expression(expression.lower, line)
-            self.check_expression(expression.upper, line)
-        elif isinstance(expression, ast.ArrayRead):
-            self.check_expression(expression.index, line)
-        elif isinstance(expression, ast.CallExpr):
-            for argument in expression.args:
-                self.check_expression(argument, line)
-        elif isinstance(expression, ast.MinMax):
-            self.check_expression(expression.left, line)
-            self.check_expression(expression.right, line)
-        elif isinstance(expression, ast.Ternary):
-            self.check_condition(expression.condition, line, kind="ternary")
-            self.check_expression(expression.then_value, line)
-            self.check_expression(expression.else_value, line)
-
-    def _check_divisor(self, divisor: ast.Expr, line: Optional[int]) -> None:
-        if _expression_contains_call(divisor):
+    def check_divisor(self, divisor: ast.Expr, line: Optional[int]) -> None:
+        if _has_call(divisor):
             self._emit(
                 "R202",
                 "error",
@@ -201,14 +135,13 @@ class _Checker:
         self, condition: ast.Cond, line: Optional[int], kind: str
     ) -> None:
         """``kind`` is one of ``if``/``while``/``assume``/``assert``/``ternary``."""
-        if condition_contains_call(condition):
+        if _has_call(condition):
             self._emit(
                 "R206",
                 "error",
                 "call inside a condition: the front end cannot hoist it",
                 line,
             )
-        self._walk_condition_expressions(condition, line)
         if kind == "assert":
             return  # deciding assertions is the analysis's job
         verdict = classify_condition(condition)
@@ -224,47 +157,9 @@ class _Checker:
         elif kind != "while":  # while(true) is an idiom; R104 covers no-escape
             self._emit("R203", "warning", "condition is always true", line)
 
-    def _walk_condition_expressions(
-        self, condition: ast.Cond, line: Optional[int]
-    ) -> None:
-        if isinstance(condition, ast.Compare):
-            self.check_expression(condition.left, line)
-            self.check_expression(condition.right, line)
-        elif isinstance(condition, ast.BoolOp):
-            self._walk_condition_expressions(condition.left, line)
-            self._walk_condition_expressions(condition.right, line)
-        elif isinstance(condition, ast.NotCond):
-            self._walk_condition_expressions(condition.operand, line)
 
-    # -- statements --------------------------------------------------- #
-    def check_statement(self, statement: ast.Stmt) -> None:
-        line = statement.line
-        if isinstance(statement, ast.Block):
-            for child in statement.statements:
-                self.check_statement(child)
-        elif isinstance(statement, ast.VarDecl):
-            self.check_expression(statement.init, line)
-        elif isinstance(statement, ast.Assign):
-            self.check_expression(statement.value, line)
-        elif isinstance(statement, ast.ArrayWrite):
-            self.check_expression(statement.index, line)
-            self.check_expression(statement.value, line)
-        elif isinstance(statement, ast.CallStmt):
-            self.check_expression(statement.call, line)
-        elif isinstance(statement, ast.Return):
-            self.check_expression(statement.value, line)
-        elif isinstance(statement, ast.If):
-            self.check_condition(statement.condition, line, kind="if")
-            self.check_statement(statement.then_branch)
-            if statement.else_branch is not None:
-                self.check_statement(statement.else_branch)
-        elif isinstance(statement, ast.While):
-            self.check_condition(statement.condition, line, kind="while")
-            self.check_statement(statement.body)
-        elif isinstance(statement, ast.Assert):
-            self.check_condition(statement.condition, line, kind="assert")
-        elif isinstance(statement, ast.Assume):
-            self.check_condition(statement.condition, line, kind="assume")
+#: The statements that carry a condition, by the ``kind`` it is checked as.
+_CONDITION_KINDS = {ast.If: "if", ast.While: "while", ast.Assume: "assume", ast.Assert: "assert"}
 
 
 def check_program(program: ast.Program) -> list[Diagnostic]:
@@ -272,6 +167,22 @@ def check_program(program: ast.Program) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     for procedure in program.procedures:
         checker = _Checker(procedure.name)
-        checker.check_statement(procedure.body)
+        for statement in ast.walk(procedure.body):
+            if not isinstance(statement, ast.Stmt):
+                continue
+            line = statement.line
+            kind = _CONDITION_KINDS.get(type(statement))
+            if kind is not None:
+                checker.check_condition(statement.condition, line, kind)
+            # The statement's own expressions and conditions: nested
+            # statements are checked under their own lines.
+            for child in ast.children(statement):
+                if isinstance(child, ast.Stmt):
+                    continue
+                for node in ast.walk(child):
+                    if isinstance(node, ast.BinOp) and node.op == "/":
+                        checker.check_divisor(node.right, line)
+                    elif isinstance(node, ast.Ternary):
+                        checker.check_condition(node.condition, line, "ternary")
         diagnostics += checker.diagnostics
     return diagnostics

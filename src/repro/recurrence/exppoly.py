@@ -107,20 +107,6 @@ class ExpPoly:
             return False
         return self.var not in self._terms[sympy.Integer(1)].free_symbols
 
-    @property
-    def bases(self) -> list[sympy.Expr]:
-        return list(self._terms.keys())
-
-    def coefficient(self, base) -> sympy.Expr:
-        return self._terms.get(_to_sympy_number(base), sympy.Integer(0))
-
-    def polynomial_degree(self, base=1) -> int:
-        """Degree (in the sequence variable) of the coefficient of ``base``."""
-        coeff = self.coefficient(base)
-        if coeff == 0:
-            return -1
-        return sympy.Poly(coeff, self.var).degree()
-
     def dominant_term(self) -> tuple[sympy.Expr, int]:
         """The asymptotically dominant ``(|base|, degree)`` pair.
 
@@ -136,14 +122,6 @@ class ExpPoly:
             if best is None or (key[0] > best[0]) or (key[0] == best[0] and key[1] > best[1]):
                 best = (abs(base), degree)
         return best
-
-    def free_parameters(self) -> set[sympy.Symbol]:
-        """Symbols other than the sequence variable appearing in the closed form."""
-        out: set[sympy.Symbol] = set()
-        for base, poly in self._terms.items():
-            out |= base.free_symbols | poly.free_symbols
-        out.discard(self.var)
-        return out
 
     # ------------------------------------------------------------------ #
     # Algebra

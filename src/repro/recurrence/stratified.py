@@ -30,6 +30,7 @@ import sympy
 
 from ..formulas.polynomial import Monomial, Polynomial
 from ..formulas.symbols import Symbol
+from ..graphs import strongly_connected_components
 from .cfinite import (
     ClosedForm,
     RecurrenceSolvingError,
@@ -154,7 +155,7 @@ class StratifiedSystem:
         """Strongly connected components of the dependency graph, in
         topological (dependencies-first) order."""
         graph = {e.target: sorted(e.uses(), key=str) for e in self.equations}
-        return _tarjan_scc(graph)
+        return strongly_connected_components(graph)
 
     # ------------------------------------------------------------------ #
     # Solving
@@ -253,62 +254,3 @@ class StratifiedSystem:
 
     def __str__(self) -> str:
         return "\n".join(str(e) for e in self.equations)
-
-
-def _tarjan_scc(graph: Mapping[Symbol, Sequence[Symbol]]) -> list[list[Symbol]]:
-    """Tarjan's strongly-connected-components algorithm (iterative).
-
-    Returns components in reverse topological order of the condensation
-    reversed — i.e. dependencies first, which is the order the solver needs.
-    Only nodes that are keys of ``graph`` are visited; edge targets outside
-    the key set are ignored.
-    """
-    index_counter = 0
-    indices: dict[Symbol, int] = {}
-    lowlinks: dict[Symbol, int] = {}
-    on_stack: set[Symbol] = set()
-    stack: list[Symbol] = []
-    components: list[list[Symbol]] = []
-
-    def strongconnect(start: Symbol) -> None:
-        nonlocal index_counter
-        work: list[tuple[Symbol, int]] = [(start, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                indices[node] = index_counter
-                lowlinks[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = [s for s in graph.get(node, ()) if s in graph]
-            for i in range(child_index, len(successors)):
-                successor = successors[i]
-                if successor not in indices:
-                    work[-1] = (node, i + 1)
-                    work.append((successor, 0))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-            if lowlinks[node] == indices[node]:
-                component: list[Symbol] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component, key=str))
-
-    for node in graph:
-        if node not in indices:
-            strongconnect(node)
-    return components

@@ -93,7 +93,7 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..engine.cache import ResultCache
 from ..engine.config import DEFAULT_SERVICE_PORT as DEFAULT_PORT
-from ..engine.tasks import AnalysisTask, registered_kinds
+from ..engine.tasks import AnalysisTask, registered_kinds, substitution_pairs
 from .pool import WorkerPool
 
 __all__ = [
@@ -166,21 +166,16 @@ def _task_from_mapping(data: Mapping[str, Any]) -> AnalysisTask:
     substitutions = data.get("substitutions") or {}
     if isinstance(substitutions, Mapping):
         pairs = substitutions.items()
-    elif isinstance(substitutions, (list, tuple)):
+    elif isinstance(substitutions, (list, tuple)) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in substitutions
+    ):
         pairs = substitutions
     else:
         raise ValueError('"substitutions" must be an object or a pair list')
-    try:
-        normalized = tuple(
-            sorted(
-                (str(name), _integer_value(f"substitution {str(name)!r}", value))
-                for name, value in pairs
-            )
-        )
-    except ValueError:
-        raise
-    except TypeError:
-        raise ValueError('"substitutions" must be an object or a pair list') from None
+    normalized = substitution_pairs(
+        (str(name), _integer_value(f"substitution {str(name)!r}", value))
+        for name, value in pairs
+    )
     params = data.get("params") or {}
     if not isinstance(params, Mapping):
         raise ValueError('"params" must be an object')

@@ -83,9 +83,19 @@ class TestFastCommands:
     def test_analyze_bad_substitution(self, capsys, tmp_path):
         program = tmp_path / "toy.c"
         program.write_text(TRIVIAL, encoding="utf-8")
-        code, _, err = run_cli(capsys, "analyze", str(program), "--sub", "n=x")
-        assert code == 2
-        assert "--sub" in err
+        # A repeated name used to be sorted and passed to dict(), so the
+        # larger value won whatever the order.
+        for subs, named in (
+            (["n=x"], "n=x"),
+            (["n=5", "n=9"], "'n'"),
+            (["n=9", "n=5"], "'n'"),
+        ):
+            arguments = [part for sub in subs for part in ("--sub", sub)]
+            code, _, err = run_cli(
+                capsys, "analyze", str(program), *arguments, "--no-cache"
+            )
+            assert code == 2, subs
+            assert "--sub" in err and named in err, err
 
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "cache", "stats", "--cache-dir", str(tmp_path))

@@ -446,6 +446,25 @@ class TestAnalysisServer:
         )
         assert record["outcome"] == "ok"
 
+    def test_malformed_substitution_pairs_get_the_field_message(self):
+        """Regression: a repeated name kept both pairs (the larger value won
+        downstream), ``[["n", 1, 2]]`` answered with the interpreter's
+        unpacking error, and ``["ab"]`` was split into the pair a=b."""
+
+        def parse(substitutions):
+            body = json.dumps({"source": TRIVIAL, "substitutions": substitutions})
+            return task_from_request(body.encode("utf-8"), "application/json")[0]
+
+        for repeated in ([["n", 9], ["n", 5]], [["n", 5], ["n", 9]], [["1", 2], [1, 3]]):
+            with pytest.raises(ValueError, match="substitution '(n|1)' is given twice"):
+                parse(repeated)
+        for malformed in ([["n", 1, 2]], [["n"]], ["ab"], [5], [{"n": 1}]):
+            with pytest.raises(ValueError) as error:
+                parse(malformed)
+            assert str(error.value) == '"substitutions" must be an object or a pair list'
+        assert parse([["m", 3], ["n", 2]]).substitutions == (("m", 3), ("n", 2))
+        assert parse({"n": 2, "m": 3}).substitutions == (("m", 3), ("n", 2))
+
     def test_unknown_path_is_404(self, server):
         host, port = server.address
         with pytest.raises(urllib.error.HTTPError) as error:

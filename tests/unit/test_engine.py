@@ -71,12 +71,6 @@ def _task(name, kind, **params):
 
 
 class TestOptionsSerialization:
-    def test_round_trip(self):
-        options = ChoraOptions(use_two_region=False)
-        rebuilt = ChoraOptions.from_dict(options.to_dict())
-        assert rebuilt == options
-        assert rebuilt.fingerprint() == options.fingerprint()
-
     def test_fingerprint_distinguishes_options(self):
         assert (
             ChoraOptions().fingerprint()

@@ -45,6 +45,9 @@ class TestRepositoryIsClean:
     def test_fraction_free_modules(self, checker):
         assert checker.check_fraction_free_modules() == []
 
+    def test_layering(self, checker):
+        assert checker.check_layering() == []
+
 
 class TestKnobIsolation:
     def test_key_function_referencing_a_knob_is_flagged(self, checker, seeded_tree):
@@ -171,3 +174,49 @@ class TestFractionFreeModules:
         (polyhedra / "constraint.py").write_text("from fractions import Fraction\n")
         (polyhedra / "cache.py").write_text("import math\n")
         assert checker.check_fraction_free_modules(seeded_tree) == []
+
+
+class TestLayering:
+    @staticmethod
+    def write(root, relative, text):
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+    def test_recurrence_importing_lang_is_flagged(self, checker, seeded_tree):
+        self.write(seeded_tree, "recurrence/stratified.py", "from ..lang import ast\n")
+        problems = checker.check_layering(seeded_tree)
+        assert len(problems) == 1
+        assert "stratified.py:1" in problems[0]
+        assert "`recurrence` imports `lang`" in problems[0]
+
+    def test_function_level_upward_import_is_flagged(self, checker, seeded_tree):
+        self.write(
+            seeded_tree,
+            "core/chora.py",
+            "import math\n\ndef run():\n    from ..engine.tasks import execute_task\n",
+        )
+        self.write(seeded_tree, "graphs.py", "import repro.lang\n")
+        problems = checker.check_layering(seeded_tree)
+        assert len(problems) == 2
+        assert any("chora.py:4" in p and "`core` imports `engine`" in p for p in problems)
+        assert any("graphs.py:1" in p and "`graphs` imports `lang`" in p for p in problems)
+
+    def test_package_outside_the_order_is_flagged(self, checker, seeded_tree):
+        self.write(seeded_tree, "extras/__init__.py", "")
+        problems = checker.check_layering(seeded_tree)
+        assert len(problems) == 1
+        assert "`extras` is not in the layer order" in problems[0]
+
+    def test_downward_own_and_root_imports_are_clean(self, checker, seeded_tree):
+        self.write(
+            seeded_tree,
+            "lang/callgraph.py",
+            "from ..graphs import strongly_connected_components\n"
+            "from ..formulas import TransitionFormula\nfrom . import ast\n",
+        )
+        self.write(seeded_tree, "lang/ast.py", "")
+        self.write(seeded_tree, "engine/cache.py", "from .. import __version__\n")
+        self.write(seeded_tree, "cli.py", "from . import engine\nfrom .core import chora\n")
+        self.write(seeded_tree, "__init__.py", "__version__ = '0'\n")
+        assert checker.check_layering(seeded_tree) == []

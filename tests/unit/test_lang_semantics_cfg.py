@@ -7,6 +7,7 @@ from repro.formulas import Polynomial, atom_eq, atom_ge, atom_le, conjoin, post,
 from repro.lang import (
     Interpreter,
     AssertionFailure,
+    CallEdge,
     build_call_graph,
     build_cfg,
     parse_program,
@@ -224,6 +225,27 @@ class TestCfg:
         cfg = build_cfg(program.procedure("subsetSumAux"))
         variables = cfg.variables(program.global_names)
         assert "nTicks" in variables and "return" in variables and "i" in variables
+
+
+    def test_reachable_follows_only_the_edges_it_is_given(self):
+        program = parse_program(
+            "int f(int n) { if (n > 0) { return f(n - 1); } return 0; }\n"
+            "int g(int n) { return g(n); }"
+        )
+        cfg = build_cfg(program.procedure("f"))
+        (call,) = cfg.call_edges
+        everything = cfg.reachable()
+        assert {cfg.entry, cfg.exit, call.source, call.target} <= everything
+        # The fresh vertex a return leaves behind has no incoming edge.
+        assert everything < cfg.vertices
+        no_calls = cfg.reachable(lambda edge: not isinstance(edge, CallEdge))
+        assert cfg.exit in no_calls and call.source in no_calls
+        assert call.target not in no_calls
+        recursive_only = build_cfg(program.procedure("g"))
+        assert recursive_only.exit in recursive_only.reachable()
+        assert recursive_only.exit not in recursive_only.reachable(
+            lambda edge: not isinstance(edge, CallEdge)
+        )
 
 
 class TestCallGraph:

@@ -23,6 +23,7 @@ from repro.engine.tasks import (
     execute_task,
 )
 from repro.formulas.symbols import reset_fresh_counter
+from repro.lang import build_call_graph, parse_program
 from repro.lint import (
     Diagnostic,
     filter_diagnostics,
@@ -270,6 +271,16 @@ class TestPassPositives:
         d = diagnostic(found, "R206")
         assert d.severity == "error"
         assert d.line == 6
+
+    def test_call_in_a_condition_is_a_call_graph_edge(self):
+        source = (
+            "int g(int n) { return n; } "
+            "int main(int n) { if (g(n) > 0) { return 1; } return 0; }"
+        )
+        assert build_call_graph(parse_program(source)).callees("main") == {"g"}
+        found = codes(lint_source(source))
+        assert "R206" in found
+        assert "R101" not in found
 
     def test_nondet_conditions_are_never_trivial(self):
         # `exists`-wrapped translations: a nondet condition must not be

@@ -1,5 +1,7 @@
 """Unit tests for the mini-language tokenizer and parser."""
 
+import dataclasses
+
 import pytest
 
 from repro.lang import ParseError, parse_program, parse_procedure_body, tokenize
@@ -63,6 +65,12 @@ class TestProgramStructure:
             "int f(int n) { int a = 1; if (n > 0) { int b = 2; } return a; }"
         )
         assert set(program.procedure("f").local_variables()) == {"a", "b"}
+        # First-declaration order: it fixes the order of a CFG's locals.
+        program = parse_program(
+            "int f(int n) { int z; if (n > 0) { int b; int z; } else { int a; }"
+            " while (n > 0) { int c; n = n - 1; } int b; return z; }"
+        )
+        assert program.procedure("f").local_variables() == ("z", "b", "a", "c")
 
 
 class TestStatements:
@@ -245,3 +253,69 @@ class TestErrors:
             assert "line 2" in str(error)
         else:  # pragma: no cover
             pytest.fail("expected a parse error")
+
+
+EVERY_NODE_CLASS = """\
+int g = 3;
+int f(int n, int *A) {
+    int a = n + 1;
+    if (n > 0 && *) {
+        a = f(n - 1, A) + A[n];
+    } else {
+        int b;
+    }
+    while (a < 3) {
+        a = -a;
+        A[a] = 2;
+    }
+    assert(!(a == 1));
+    assume(true);
+    a = nondet();
+    f(1, A);
+    int c = nondet() ? 1 : nondet(0, 2);
+    return min(a, c);
+}
+"""
+
+
+class TestTraversal:
+    def test_walk_is_a_source_order_preorder_over_every_node_class(self):
+        program = parse_program(EVERY_NODE_CLASS)
+        nodes = list(ast.walk(program))
+        concrete = {
+            name
+            for name in ast.__all__
+            if dataclasses.is_dataclass(getattr(ast, name, None))
+        }
+        assert {type(node).__name__ for node in nodes} == concrete
+        assert [type(node).__name__ for node in nodes] == [
+            "Program", "GlobalDecl", "Procedure", "Parameter", "Parameter", "Block",
+            "VarDecl", "BinOp", "VarRef", "IntLit",
+            "If", "BoolOp", "Compare", "VarRef", "IntLit", "NondetBool",
+            "Block", "Assign", "BinOp", "CallExpr", "BinOp", "VarRef", "IntLit",
+            "VarRef", "ArrayRead", "VarRef",
+            "Block", "VarDecl",
+            "While", "Compare", "VarRef", "IntLit",
+            "Block", "Assign", "UnaryNeg", "VarRef", "ArrayWrite", "VarRef", "IntLit",
+            "Assert", "NotCond", "Compare", "VarRef", "IntLit",
+            "Assume", "BoolLit",
+            "Havoc",
+            "CallStmt", "CallExpr", "IntLit", "VarRef",
+            "VarDecl", "Ternary", "NondetBool", "IntLit", "Nondet", "IntLit", "IntLit",
+            "Return", "MinMax", "VarRef", "VarRef",
+        ]
+        assert all(isinstance(node, ast.Node) for node in nodes)
+
+    def test_children_skip_names_operators_literals_and_lines(self):
+        index, value = ast.VarRef("i"), ast.IntLit(2)
+        assert list(ast.children(ast.ArrayWrite("A", index, value, line=4))) == [index, value]
+        assert list(ast.children(ast.MinMax(True, value, index))) == [value, index]
+        assert list(ast.children(ast.GlobalDecl("g", 3, line=1))) == []
+        assert list(ast.children(ast.IntLit(7))) == []
+        assert list(ast.children(ast.Nondet())) == []
+        condition = ast.BoolLit(True)
+        then_branch = ast.Block(())
+        assert list(ast.children(ast.If(condition, then_branch, line=9))) == [
+            condition,
+            then_branch,
+        ]

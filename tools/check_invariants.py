@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Source-invariant checker (CI's ``invariants`` step, importable by tests).
 
-A Python-AST lint over ``src/repro`` for four invariants no unit test can
+A Python-AST lint over ``src/repro`` for five invariants no unit test can
 pin down once and for all, because new call sites keep appearing:
 
 * **Process-wide knobs stay out of cache keys.**  The lint gate
@@ -26,6 +26,12 @@ pin down once and for all, because new call sites keep appearing:
   ``pyproject.toml`` (compared after lower-casing and mapping ``-``/``.``
   to ``_``, i.e. the import name is assumed to be the project name), so a
   clean install of the declared dependencies can import every module.
+* **Packages import only the layers below them.**  The packages of
+  ``src/repro`` form the layer order of :data:`LAYERS`, bottom first; a
+  module may import its own package, the root ``repro`` package and the
+  packages of strictly lower layers, nothing else.  Function-level and
+  ``TYPE_CHECKING`` imports count too, so a cycle cannot hide inside a
+  function body.
 * **The projection, memo and hull layers are Fraction-free.**  Constraints
   are gcd-primitive integer rows; ``polyhedra/fourier_motzkin.py``,
   ``polyhedra/cache.py`` and ``polyhedra/hull.py`` may not import
@@ -70,6 +76,23 @@ FRACTION_FREE_MODULES = (
     "polyhedra/fourier_motzkin.py",
     "polyhedra/cache.py",
     "polyhedra/hull.py",
+)
+
+#: The packages (and top-level modules) of ``src/repro``, bottom layer
+#: first.  ``graphs`` is the one SCC routine, shared by ``lang`` (call
+#: graphs) and ``recurrence`` (stratification), which must not import each
+#: other.
+LAYERS: tuple[frozenset[str], ...] = (
+    frozenset({"formulas", "benchlib", "graphs"}),
+    frozenset({"lang", "polyhedra", "recurrence"}),
+    frozenset({"abstraction"}),
+    frozenset({"analysis", "lint"}),
+    frozenset({"core"}),
+    frozenset({"baselines"}),
+    frozenset({"engine"}),
+    frozenset({"service", "fuzz", "reporting"}),
+    frozenset({"cli"}),
+    frozenset({"__main__"}),
 )
 
 #: One element of a TOML string array: a quoted string or a comment.
@@ -227,6 +250,62 @@ def check_fraction_free_modules(root: Path = SOURCE_ROOT) -> list[str]:
     return problems
 
 
+def _repro_imports(path: Path, root: Path) -> Iterator[tuple[str, int]]:
+    """``(package, line)`` of every import of a ``repro`` package in ``path``.
+
+    Relative imports are resolved against the module's own package; an
+    import of the root package itself (``from .. import __version__``)
+    names no package and is skipped.
+    """
+    here = ["repro", *path.relative_to(root).parts[:-1]]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = here[: len(here) - node.level + 1] if node.level else []
+            module = base + (node.module.split(".") if node.module else [])
+            if len(module) > 1:
+                targets = [module]
+            else:  # ``from <root> import a, b``: a name may be a package
+                targets = [
+                    module + [alias.name]
+                    for alias in node.names
+                    if (root / alias.name).is_dir() or (root / f"{alias.name}.py").is_file()
+                ]
+        else:
+            continue
+        for target in targets:
+            if target[0] == "repro" and len(target) > 1:
+                yield target[1], node.lineno
+
+
+def check_layering(root: Path = SOURCE_ROOT) -> list[str]:
+    """Imports of a package that is not in a strictly lower layer."""
+    rank = {package: index for index, layer in enumerate(LAYERS) for package in layer}
+    problems: list[str] = []
+    for path in python_sources(root):
+        relative = path.relative_to(REPO_ROOT)
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts == ("__init__",):
+            continue
+        package = parts[0]
+        if package not in rank:
+            problems.append(
+                f"{relative}: package `{package}` is not in the layer order"
+                " (LAYERS in tools/check_invariants.py)"
+            )
+            continue
+        for target, line in _repro_imports(path, root):
+            if target == package or rank.get(target, len(LAYERS)) < rank[package]:
+                continue
+            problems.append(
+                f"{relative}:{line}: `{package}` imports `{target}`, which is"
+                " not in a lower layer"
+            )
+    return problems
+
+
 def check_no_unpickling(root: Path = SOURCE_ROOT) -> list[str]:
     """Imports of pickle-reading modules (empty when clean)."""
     problems: list[str] = []
@@ -249,6 +328,7 @@ def main() -> int:
         + check_no_unpickling()
         + check_declared_dependencies()
         + check_fraction_free_modules()
+        + check_layering()
     )
     for problem in problems:
         print(f"INVARIANT: {problem}", file=sys.stderr)
